@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 
 #include "base/cli.hpp"
@@ -170,6 +171,14 @@ int main(int argc, char** argv) {
 
     serve::ServeOptions options;
     options.store_dir = "/tmp/bench-serve-store." + std::to_string(::getpid());
+    // Removes the store on every exit path, after the server has stopped.
+    struct StoreCleanup {
+        std::string dir;
+        ~StoreCleanup() {
+            std::error_code ignored;
+            std::filesystem::remove_all(dir, ignored);
+        }
+    } const store_cleanup{options.store_dir};
     options.threads = static_cast<int>(cli.option_int("threads").value_or(1));
     serve::ServeServer server(options);
     std::string error;

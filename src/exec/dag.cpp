@@ -78,69 +78,77 @@ void TaskDag::run_serial() {
     if (error) std::rethrow_exception(error);
 }
 
-void TaskDag::run_parallel(ThreadPool& pool) {
-    struct Shared {
-        std::mutex mutex;
-        std::condition_variable all_settled;
-        std::vector<State> state;
-        std::size_t settled = 0;
-        std::exception_ptr error;
-        std::size_t error_index = 0;
-        std::function<void(std::size_t)> spawn;
-    };
-    auto shared = std::make_shared<Shared>();
-    shared->state.assign(nodes_.size(), State::Pending);
+/// State of one parallel run, owned jointly by the caller and every queued
+/// or running task. Nothing it holds refers back to the owning
+/// shared_ptr, so it is freed when the caller and the last task let go.
+struct TaskDag::ParallelRun {
+    ParallelRun(const std::vector<Node>& dag_nodes, ThreadPool& run_pool)
+        : nodes(dag_nodes), pool(run_pool), state(dag_nodes.size(), State::Pending) {}
 
-    // Settles node i with the given outcome and returns the tasks that
-    // became runnable. Skips sweep transitively via a worklist: a failed
-    // node fails its pending dependents, which fail theirs, and so on.
-    const auto settle = [this, shared](std::size_t i, std::exception_ptr error) {
+    const std::vector<Node>& nodes;
+    ThreadPool& pool;
+    std::mutex mutex;
+    std::condition_variable all_settled;
+    std::vector<State> state;
+    std::size_t settled = 0;
+    std::exception_ptr error;
+    std::size_t error_index = 0;
+
+    /// Settles node i with the given outcome and returns the tasks that
+    /// became runnable. Skips sweep transitively via a worklist: a failed
+    /// node fails its pending dependents, which fail theirs, and so on.
+    std::vector<std::size_t> settle(std::size_t i, std::exception_ptr failure) {
         std::vector<std::size_t> runnable;
-        std::lock_guard<std::mutex> lock(shared->mutex);
-        if (error && (!shared->error || i < shared->error_index)) {
-            shared->error = error;
-            shared->error_index = i;
+        std::lock_guard<std::mutex> lock(mutex);
+        if (failure && (!error || i < error_index)) {
+            error = failure;
+            error_index = i;
         }
-        shared->state[i] = error ? State::Failed : State::Done;
-        ++shared->settled;
+        state[i] = failure ? State::Failed : State::Done;
+        ++settled;
         std::vector<std::size_t> sweep{i};
         while (!sweep.empty()) {
             const std::size_t s = sweep.back();
             sweep.pop_back();
-            for (const std::size_t dep : nodes_[s].dependents) {
-                if (shared->state[dep] != State::Pending) continue;
-                if (blocked(shared->state, nodes_[dep].deps)) {
-                    shared->state[dep] = State::Failed;
-                    ++shared->settled;
+            for (const std::size_t dep : nodes[s].dependents) {
+                if (state[dep] != State::Pending) continue;
+                if (blocked(state, nodes[dep].deps)) {
+                    state[dep] = State::Failed;
+                    ++settled;
                     sweep.push_back(dep);
-                } else if (ready(shared->state, nodes_[dep].deps)) {
+                } else if (ready(state, nodes[dep].deps)) {
                     runnable.push_back(dep);
                 }
             }
         }
-        shared->all_settled.notify_all();
+        all_settled.notify_all();
         return runnable;
-    };
+    }
 
-    shared->spawn = [this, shared, &pool, settle](std::size_t i) {
-        pool.submit([this, shared, settle, i] {
-            std::exception_ptr error;
+    /// Queues node i; the task keeps the run alive until it has settled
+    /// the node and queued whatever that made runnable.
+    static void spawn(const std::shared_ptr<ParallelRun>& run, std::size_t i) {
+        run->pool.submit([run, i] {
+            std::exception_ptr failure;
             try {
-                SERVET_TRACE_SPAN("dag/" + nodes_[i].key);
-                nodes_[i].body();
+                SERVET_TRACE_SPAN("dag/" + run->nodes[i].key);
+                run->nodes[i].body();
             } catch (...) {
-                error = std::current_exception();
+                failure = std::current_exception();
             }
-            for (const std::size_t next : settle(i, error)) shared->spawn(next);
+            for (const std::size_t next : run->settle(i, failure)) spawn(run, next);
         });
-    };
+    }
+};
 
+void TaskDag::run_parallel(ThreadPool& pool) {
+    const auto run = std::make_shared<ParallelRun>(nodes_, pool);
     for (std::size_t i = 0; i < nodes_.size(); ++i)
-        if (nodes_[i].deps.empty()) shared->spawn(i);
+        if (nodes_[i].deps.empty()) ParallelRun::spawn(run, i);
 
-    std::unique_lock<std::mutex> lock(shared->mutex);
-    shared->all_settled.wait(lock, [&] { return shared->settled == nodes_.size(); });
-    if (shared->error) std::rethrow_exception(shared->error);
+    std::unique_lock<std::mutex> lock(run->mutex);
+    run->all_settled.wait(lock, [&] { return run->settled == nodes_.size(); });
+    if (run->error) std::rethrow_exception(run->error);
 }
 
 void TaskDag::run(ThreadPool* pool) {

@@ -38,6 +38,8 @@ class TaskDag {
         std::vector<std::size_t> dependents;
     };
 
+    struct ParallelRun;  // run_parallel's state, shared with its tasks
+
     [[nodiscard]] std::size_t index_of(const std::string& key) const;
     void run_serial();
     void run_parallel(ThreadPool& pool);

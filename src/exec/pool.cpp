@@ -48,30 +48,36 @@ struct ForLoop {
             error_index = index;
         }
         // Abandon unclaimed iterations; in-flight ones drain normally.
-        next.store(n, std::memory_order_relaxed);
+        next.store(n);
     }
 
-    /// Claims and runs iterations until none are left.
+    /// Claims and runs iterations until none are left. A claim is counted
+    /// before it takes an index, and finished even when the index is out
+    /// of range, so complete() never sees every index taken while a
+    /// claimed iteration has yet to run.
     void drain(const std::function<void(std::size_t)>& body) {
         for (;;) {
-            const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n) return;
-            claimed.fetch_add(1, std::memory_order_relaxed);
-            try {
-                body(i);
-            } catch (...) {
-                record_error(i, std::current_exception());
+            claimed.fetch_add(1);
+            const std::size_t i = next.fetch_add(1);
+            if (i < n) {
+                try {
+                    body(i);
+                } catch (...) {
+                    record_error(i, std::current_exception());
+                }
             }
             std::lock_guard<std::mutex> lock(mutex);
             finished.fetch_add(1, std::memory_order_relaxed);
             done.notify_all();
+            if (i >= n) return;
         }
     }
 
+    /// Called under `mutex`. Sequentially consistent loads, `next` first:
+    /// once it reads n or more, every claim that took an index is visible
+    /// in `claimed`, and `finished` changes only under the mutex.
     [[nodiscard]] bool complete() const {
-        return next.load(std::memory_order_relaxed) >= n &&
-               finished.load(std::memory_order_relaxed) ==
-                   claimed.load(std::memory_order_relaxed);
+        return next.load() >= n && finished.load() == claimed.load();
     }
 };
 

@@ -40,16 +40,16 @@ std::vector<obs::Counter*> layer_counters(int layers) {
 }  // namespace
 
 SimNetwork::SimNetwork(sim::MachineSpec spec)
-    : spec_(std::move(spec)),
-      model_(spec_),
-      noise_(spec_.seed ^ 0xc0337ULL),
+    : spec_(std::make_shared<const sim::MachineSpec>(std::move(spec))),
+      model_(*spec_),
+      noise_(spec_->seed ^ 0xc0337ULL),
       layer_transfers_(layer_counters(model_.layer_count())) {}
 
-SimNetwork::SimNetwork(sim::MachineSpec spec, std::uint64_t noise_seed)
-    : spec_(std::move(spec)),
-      model_(spec_),
+SimNetwork::SimNetwork(const SimNetwork& parent, std::uint64_t noise_seed)
+    : spec_(parent.spec_),
+      model_(parent.model_),
       noise_(noise_seed),
-      layer_transfers_(layer_counters(model_.layer_count())) {}
+      layer_transfers_(parent.layer_transfers_) {}
 
 void SimNetwork::count_transfers(CorePair pair, Bytes size, int reps) {
     // A ping-pong rep is two messages, one each way.
@@ -63,11 +63,11 @@ void SimNetwork::count_transfers(CorePair pair, Bytes size, int reps) {
 
 std::string SimNetwork::name() const { return "simnet:" + model_.spec().name; }
 
-std::uint64_t SimNetwork::fingerprint() const { return spec_.fingerprint(); }
+std::uint64_t SimNetwork::fingerprint() const { return spec_->fingerprint(); }
 
 std::unique_ptr<Network> SimNetwork::fork(std::uint64_t noise_salt) const {
-    const std::uint64_t noise_seed = mix64(spec_.seed ^ 0xc0337ULL ^ noise_salt);
-    return std::make_unique<SimNetwork>(spec_, noise_seed);
+    const std::uint64_t noise_seed = mix64(spec_->seed ^ 0xc0337ULL ^ noise_salt);
+    return std::unique_ptr<Network>(new SimNetwork(*this, noise_seed));
 }
 
 int SimNetwork::endpoint_count() const { return model_.spec().n_cores; }

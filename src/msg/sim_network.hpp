@@ -2,6 +2,7 @@
 // measurement jitter applied per measurement.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "base/rng.hpp"
@@ -13,10 +14,9 @@ namespace servet::msg {
 
 class SimNetwork final : public Network {
   public:
-    /// Takes its own copy of the spec: temporaries are safe.
+    /// Takes its own copy of the spec: temporaries are safe. Forks share
+    /// that copy rather than making their own.
     explicit SimNetwork(sim::MachineSpec spec);
-    /// Replica constructor: same fabric, private noise stream.
-    SimNetwork(sim::MachineSpec spec, std::uint64_t noise_seed);
 
     [[nodiscard]] std::string name() const override;
     [[nodiscard]] std::uint64_t fingerprint() const override;
@@ -30,12 +30,16 @@ class SimNetwork final : public Network {
     [[nodiscard]] const sim::InterconnectModel& model() const { return model_; }
 
   private:
+    /// fork(): the same fabric, spec and counter handles, with a private
+    /// noise stream.
+    SimNetwork(const SimNetwork& parent, std::uint64_t noise_seed);
+
     /// Credits `2 * reps` simulated transfers of `size` bytes on `pair`'s
     /// layer to the msg.* counters.
     void count_transfers(CorePair pair, Bytes size, int reps);
 
-    sim::MachineSpec spec_;
-    sim::InterconnectModel model_;  // references spec_; declared after it
+    std::shared_ptr<const sim::MachineSpec> spec_;  // shared with forks
+    sim::InterconnectModel model_;  // points into *spec_, so it survives moves
     Rng noise_;
     std::vector<obs::Counter*> layer_transfers_;  // msg.layer<k>.transfers
 };

@@ -32,8 +32,10 @@ class Platform {
 
     /// Whether fork() produces replicas. Cheap by contract: engines call
     /// this during construction to decide between the parallel and serial
-    /// paths, and probing with a throwaway fork() would clone an entire
-    /// simulated machine just to discard it. Must agree with fork():
+    /// paths without building a replica just to discard it. (A SimPlatform
+    /// replica is cheap — it shares the parent's spec and allocates no
+    /// cache state until it first traverses — but a platform's replicas
+    /// need not be.) Must agree with fork():
     /// forkable() == (fork(...) != nullptr).
     [[nodiscard]] virtual bool forkable() const { return false; }
 

@@ -6,27 +6,25 @@
 namespace servet {
 
 SimPlatform::SimPlatform(sim::MachineSpec spec)
-    : sim_(std::move(spec)), noise_(sim_.spec().seed ^ 0x901e54ULL) {}
+    : sim_(std::move(spec)), noise_(sim_.seed() ^ 0x901e54ULL) {}
 
-SimPlatform::SimPlatform(sim::MachineSpec spec, std::uint64_t noise_seed)
-    : sim_(std::move(spec)), noise_(noise_seed) {}
+SimPlatform::SimPlatform(sim::MachineSim sim, std::uint64_t noise_seed, Engine engine)
+    : sim_(std::move(sim)), noise_(noise_seed), engine_(engine) {}
 
 std::string SimPlatform::name() const { return "sim:" + sim_.spec().name; }
 
-std::uint64_t SimPlatform::fingerprint() const { return sim_.spec().fingerprint(); }
+std::uint64_t SimPlatform::fingerprint() const { return sim_.fingerprint(); }
 
 std::unique_ptr<Platform> SimPlatform::fork(std::uint64_t noise_salt,
                                             std::uint64_t placement_salt) const {
-    sim::MachineSpec replica = sim_.spec();
     // The placement salt gives fresh-allocation tasks (the mcalibrator
     // sweep) decorrelated physical placements per task. Tasks probing
     // static buffers pass 0 so a size's placement stays identical across
     // tasks and reference/concurrent ratios cancel placement luck.
-    if (placement_salt != 0) replica.seed ^= mix64(placement_salt);
-    const std::uint64_t noise_seed = mix64(replica.seed ^ 0x901e54ULL ^ noise_salt);
-    auto fork = std::make_unique<SimPlatform>(std::move(replica), noise_seed);
-    fork->set_engine(engine_);
-    return fork;
+    std::uint64_t seed = sim_.seed();
+    if (placement_salt != 0) seed ^= mix64(placement_salt);
+    const std::uint64_t noise_seed = mix64(seed ^ 0x901e54ULL ^ noise_salt);
+    return std::unique_ptr<Platform>(new SimPlatform(sim_.replica(seed), noise_seed, engine_));
 }
 
 int SimPlatform::core_count() const { return sim_.spec().n_cores; }

@@ -21,8 +21,6 @@ class SimPlatform final : public Platform {
     enum class Engine { Batched, Reference };
 
     explicit SimPlatform(sim::MachineSpec spec);
-    /// Replica constructor: same machine, private noise stream.
-    SimPlatform(sim::MachineSpec spec, std::uint64_t noise_seed);
 
     [[nodiscard]] std::string name() const override;
     [[nodiscard]] int core_count() const override;
@@ -41,6 +39,8 @@ class SimPlatform final : public Platform {
     [[nodiscard]] std::vector<BytesPerSecond> copy_bandwidth_concurrent(
         const std::vector<CoreId>& cores, Bytes array_bytes) override;
 
+    /// The machine spec, shared by every fork. A placement-salted fork
+    /// simulates it under its own seed (machine().seed()).
     [[nodiscard]] const sim::MachineSpec& spec() const { return sim_.spec(); }
     [[nodiscard]] sim::MachineSim& machine() { return sim_; }
 
@@ -50,6 +50,9 @@ class SimPlatform final : public Platform {
     [[nodiscard]] Engine engine() const { return engine_; }
 
   private:
+    /// fork(): a replica simulator with a private noise stream.
+    SimPlatform(sim::MachineSim sim, std::uint64_t noise_seed, Engine engine);
+
     [[nodiscard]] double jitter();
 
     sim::MachineSim sim_;

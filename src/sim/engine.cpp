@@ -54,71 +54,72 @@ struct MachineSim::CoreRun {
     Cycles total = 0;  ///< measured-pass cycle accumulator
 };
 
-MachineSim::MachineSim(MachineSpec spec) : spec_(std::move(spec)), memory_(spec_) {
-    const auto problems = spec_.validate();
+MachineSim::MachineSim(MachineSpec spec)
+    : spec_(std::make_shared<const MachineSpec>(std::move(spec))),
+      seed_(spec_->seed),
+      memory_(*spec_) {
+    // validate() also covers what the first traversal relies on: every
+    // level's geometry is valid and its instances partition the cores.
+    const auto problems = spec_->validate();
     SERVET_CHECK_MSG(problems.empty(), "machine spec failed validation");
+    register_counters();
+}
 
-    caches_.reserve(spec_.levels.size());
-    instance_of_.reserve(spec_.levels.size());
-    for (const CacheLevelSpec& level : spec_.levels) {
+MachineSim MachineSim::replica(std::uint64_t seed) const { return MachineSim(*this, seed); }
+
+MachineSim::MachineSim(const MachineSim& parent, std::uint64_t seed)
+    : spec_(parent.spec_), seed_(seed), memory_(parent.memory_), counters_(parent.counters_) {}
+
+void MachineSim::build_microarchitecture() {
+    const MachineSpec& spec = *spec_;
+    const std::size_t n_cores = static_cast<std::size_t>(spec.n_cores);
+    caches_.reserve(spec.levels.size());
+    instance_of_.reserve(spec.levels.size());
+    for (const CacheLevelSpec& level : spec.levels) {
         std::vector<SetAssocCache> instances;
         instances.reserve(level.instances.size());
         for (std::size_t i = 0; i < level.instances.size(); ++i)
             instances.emplace_back(level.geometry);
         caches_.push_back(std::move(instances));
 
-        std::vector<int> core_to_instance(static_cast<std::size_t>(spec_.n_cores), -1);
+        std::vector<int> core_to_instance(n_cores, -1);
         for (std::size_t i = 0; i < level.instances.size(); ++i)
             for (CoreId c : level.instances[i])
                 core_to_instance[static_cast<std::size_t>(c)] = static_cast<int>(i);
         instance_of_.push_back(std::move(core_to_instance));
     }
-    prefetchers_.assign(static_cast<std::size_t>(spec_.n_cores),
-                        StreamPrefetcher(spec_.prefetcher));
+    prefetchers_.assign(n_cores, StreamPrefetcher(spec.prefetcher));
 
-    if (spec_.tlb.enabled) {
+    if (spec.tlb.enabled) {
         // A fully associative TLB over virtual pages is a one-set cache
         // with page-sized "lines" and one way per entry.
         const CacheGeometry tlb_geometry{
-            .size = static_cast<Bytes>(spec_.tlb.entries) * spec_.page_size,
-            .line_size = spec_.page_size,
-            .associativity = spec_.tlb.entries,
+            .size = static_cast<Bytes>(spec.tlb.entries) * spec.page_size,
+            .line_size = spec.page_size,
+            .associativity = spec.tlb.entries,
             .physically_indexed = false};
-        tlbs_.assign(static_cast<std::size_t>(spec_.n_cores), SetAssocCache(tlb_geometry));
+        tlbs_.assign(n_cores, SetAssocCache(tlb_geometry));
     }
 
-    // Physical memory: comfortably larger than all caches plus any working
-    // set we simulate — 16 GiB of frames keeps random placement uniform.
-    const std::uint64_t frames = (16 * GiB) / spec_.page_size;
-    mapper_ = std::make_unique<PageMapper>(spec_.page_policy, spec_.page_size, frames,
-                                           spec_.page_colors(), spec_.seed);
-    page_shift_ = mapper_->page_shift();
-    page_mask_ = spec_.page_size - 1;
-
-    build_resolved_paths();
-    register_counters();
-}
-
-void MachineSim::build_resolved_paths() {
-    resolved_paths_.assign(static_cast<std::size_t>(spec_.n_cores),
-                           std::vector<ResolvedLevel>{});
-    for (CoreId core = 0; core < spec_.n_cores; ++core) {
-        std::vector<ResolvedLevel>& path = resolved_paths_[static_cast<std::size_t>(core)];
-        path.reserve(spec_.levels.size());
-        for (std::size_t level = 0; level < spec_.levels.size(); ++level) {
-            const int instance = instance_of_[level][static_cast<std::size_t>(core)];
+    resolved_paths_.assign(n_cores, std::vector<ResolvedLevel>{});
+    for (std::size_t core = 0; core < n_cores; ++core) {
+        std::vector<ResolvedLevel>& path = resolved_paths_[core];
+        path.reserve(spec.levels.size());
+        for (std::size_t level = 0; level < spec.levels.size(); ++level) {
+            const int instance = instance_of_[level][core];
             SERVET_CHECK_MSG(instance >= 0, "core not covered by a cache instance");
             path.push_back({&caches_[level][static_cast<std::size_t>(instance)],
-                            spec_.levels[level].hit_cycles,
-                            spec_.levels[level].geometry.physically_indexed});
+                            spec.levels[level].hit_cycles,
+                            spec.levels[level].geometry.physically_indexed});
         }
     }
+    built_ = true;
 }
 
 void MachineSim::register_counters() {
     using obs::Stability;
-    counters_.levels.reserve(spec_.levels.size());
-    for (const CacheLevelSpec& level : spec_.levels) {
+    counters_.levels.reserve(spec_->levels.size());
+    for (const CacheLevelSpec& level : spec_->levels) {
         const std::string base = "sim.cache." + level.name;
         counters_.levels.push_back(
             {&obs::counter(base + ".hits", Stability::Stable),
@@ -178,20 +179,27 @@ void MachineSim::flush_traverse_counters(std::uint64_t demand_accesses) {
 }
 
 void MachineSim::reset_microarchitecture(Bytes array_bytes, bool fresh_placement) {
-    for (auto& level : caches_)
-        for (SetAssocCache& cache : level) cache.invalidate_all();
-    for (StreamPrefetcher& prefetcher : prefetchers_) prefetcher.reset();
-    for (SetAssocCache& tlb : tlbs_) tlb.invalidate_all();
+    if (!built_) {
+        build_microarchitecture();  // born empty: nothing to invalidate
+    } else {
+        for (auto& level : caches_)
+            for (SetAssocCache& cache : level) cache.invalidate_all();
+        for (StreamPrefetcher& prefetcher : prefetchers_) prefetcher.reset();
+        for (SetAssocCache& tlb : tlbs_) tlb.invalidate_all();
+    }
     // Reseed the mapper deterministically: per run for fresh allocations,
     // per array size for static buffers (so a reference run and the pair
     // runs that are compared against it see identical placements).
     ++run_counter_;
     const std::uint64_t salt = fresh_placement ? run_counter_ : array_bytes;
-    const std::uint64_t frames = (16 * GiB) / spec_.page_size;
-    mapper_ = std::make_unique<PageMapper>(spec_.page_policy, spec_.page_size, frames,
-                                           spec_.page_colors(),
-                                           spec_.seed ^ (salt * 0x9e3779b97f4a7c15ULL));
-    build_resolved_paths();
+    // Physical memory: comfortably larger than all caches plus any working
+    // set we simulate — 16 GiB of frames keeps random placement uniform.
+    const std::uint64_t frames = (16 * GiB) / spec_->page_size;
+    mapper_ = std::make_unique<PageMapper>(spec_->page_policy, spec_->page_size, frames,
+                                           spec_->page_colors(),
+                                           seed_ ^ (salt * 0x9e3779b97f4a7c15ULL));
+    page_shift_ = mapper_->page_shift();
+    page_mask_ = spec_->page_size - 1;
 }
 
 void MachineSim::fill_for_prefetch(CoreId core, std::uint64_t vaddr) {
@@ -200,7 +208,7 @@ void MachineSim::fill_for_prefetch(CoreId core, std::uint64_t vaddr) {
     for (std::size_t level = 0; level < caches_.size(); ++level) {
         const int instance = instance_of_[level][static_cast<std::size_t>(core)];
         if (instance < 0) continue;
-        const bool physical = spec_.levels[level].geometry.physically_indexed;
+        const bool physical = spec_->levels[level].geometry.physically_indexed;
         caches_[level][static_cast<std::size_t>(instance)].prefetch_fill(physical ? paddr : vaddr);
     }
 }
@@ -211,7 +219,7 @@ Cycles MachineSim::access_cost(CoreId core, std::uint64_t vaddr, double latency_
 
     // Prefetcher observes the demand stream and may pull lines in ahead.
     std::uint64_t prefetch_addrs[8];
-    SERVET_CHECK(spec_.prefetcher.degree <= 8);
+    SERVET_CHECK(spec_->prefetcher.degree <= 8);
     const int n_prefetch =
         prefetchers_[static_cast<std::size_t>(core)].observe(vaddr, prefetch_addrs);
 
@@ -219,23 +227,23 @@ Cycles MachineSim::access_cost(CoreId core, std::uint64_t vaddr, double latency_
     // the data itself hits.
     Cycles tlb_penalty = 0;
     if (!tlbs_.empty() && !tlbs_[static_cast<std::size_t>(core)].access(vaddr))
-        tlb_penalty = spec_.tlb.miss_cycles;
+        tlb_penalty = spec_->tlb.miss_cycles;
 
     const std::uint64_t paddr = mapper_->translate(vaddr);
     Cycles cost = -1;
     for (std::size_t level = 0; level < caches_.size(); ++level) {
         const int instance = instance_of_[level][static_cast<std::size_t>(core)];
         SERVET_CHECK_MSG(instance >= 0, "core not covered by a cache instance");
-        const bool physical = spec_.levels[level].geometry.physically_indexed;
+        const bool physical = spec_->levels[level].geometry.physically_indexed;
         const bool hit =
             caches_[level][static_cast<std::size_t>(instance)].access(physical ? paddr : vaddr);
         if (hit) {
-            cost = spec_.levels[level].hit_cycles;
+            cost = spec_->levels[level].hit_cycles;
             break;
         }
     }
     if (cost < 0) {
-        cost = spec_.memory.latency_cycles * latency_mult;
+        cost = spec_->memory.latency_cycles * latency_mult;
         if (latency_mult > 1.0) ++tally_contended_;  // bus-queueing stall
     }
 
@@ -283,7 +291,7 @@ inline Cycles MachineSim::batched_access(CoreRun& run, std::uint64_t vaddr,
     if (vpage == run.demand_page) {
         paddr = run.demand_frame_base | (vaddr & page_mask_);
     } else {
-        if (run.tlb != nullptr && !run.tlb->access(vaddr)) tlb_penalty = spec_.tlb.miss_cycles;
+        if (run.tlb != nullptr && !run.tlb->access(vaddr)) tlb_penalty = spec_->tlb.miss_cycles;
         paddr = mapper_->translate(vaddr);
         run.demand_page = vpage;
         run.demand_frame_base = paddr & ~page_mask_;
@@ -297,7 +305,7 @@ inline Cycles MachineSim::batched_access(CoreRun& run, std::uint64_t vaddr,
         }
     }
     if (cost < 0) {
-        cost = spec_.memory.latency_cycles * run.latency_mult;
+        cost = spec_->memory.latency_cycles * run.latency_mult;
         if (run.latency_mult > 1.0) ++tally_contended_;  // bus-queueing stall
     }
 
@@ -334,7 +342,7 @@ TraversalResult MachineSim::run_traversal(const std::vector<CoreId>& cores, Byte
     SERVET_TRACE_SPAN("sim/traverse");
     SERVET_CHECK(!cores.empty());
     SERVET_CHECK(array_bytes > 0 && stride > 0 && measure_passes > 0);
-    for (CoreId c : cores) SERVET_CHECK(c >= 0 && c < spec_.n_cores);
+    for (CoreId c : cores) SERVET_CHECK(c >= 0 && c < spec_->n_cores);
     // Each core needs its own array, prefetcher stream, and page caches;
     // listing a core twice would silently alias them.
     for (std::size_t i = 0; i < cores.size(); ++i)
@@ -353,7 +361,7 @@ TraversalResult MachineSim::run_traversal(const std::vector<CoreId>& cores, Byte
 
     const std::vector<double> latency_mult = memory_.latency_multipliers(cores);
 
-    const Bytes line = spec_.levels.empty() ? 64 : spec_.levels.front().geometry.line_size;
+    const Bytes line = spec_->levels.empty() ? 64 : spec_->levels.front().geometry.line_size;
     // Runs are planned as offsets from zero; each core adds its own base.
     const AccessStream stream = AccessStream::plan(0, array_bytes, stride, line);
 
@@ -438,17 +446,17 @@ Cycles MachineSim::traverse_one(CoreId core, Bytes array_bytes, Bytes stride,
 
 BytesPerSecond MachineSim::copy_bandwidth(CoreId core, const std::vector<CoreId>& active,
                                           Bytes array_bytes) const {
-    SERVET_CHECK(core >= 0 && core < spec_.n_cores);
+    SERVET_CHECK(core >= 0 && core < spec_->n_cores);
     counters_.bandwidth_queries->increment();
 
     // A copy working set that fits in some cache level streams from that
     // cache and sees no memory contention. Scale bandwidth by how close the
     // level is to the core (L1 fastest). Source + destination arrays.
     const Bytes working_set = 2 * array_bytes;
-    for (std::size_t level = 0; level < spec_.levels.size(); ++level) {
-        if (working_set <= spec_.levels[level].geometry.size) {
+    for (std::size_t level = 0; level < spec_->levels.size(); ++level) {
+        if (working_set <= spec_->levels[level].geometry.size) {
             const double boost = 4.0 / static_cast<double>(level + 1);
-            return spec_.memory.single_core_bandwidth * std::max(boost, 1.5);
+            return spec_->memory.single_core_bandwidth * std::max(boost, 1.5);
         }
     }
     return memory_.stream_bandwidth(core, active);

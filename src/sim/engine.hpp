@@ -42,7 +42,18 @@ struct TraversalResult {
 
 class MachineSim {
   public:
+    /// Validates `spec` (CHECK-aborts on a bad one) and keeps it as an
+    /// immutable description shared with every replica(). The simulated
+    /// caches, TLBs, prefetchers and page mapper are built by the first
+    /// traversal: every traversal starts by invalidating that state, so
+    /// building it late changes no result, and a simulator that never
+    /// traverses (a comm-only replica) never allocates it.
     explicit MachineSim(MachineSpec spec);
+
+    /// The same machine with `seed` as its placement seed: shares this
+    /// simulator's already-validated spec, starts with no simulated cache
+    /// state of its own, and traverses independently of this one.
+    [[nodiscard]] MachineSim replica(std::uint64_t seed) const;
 
     /// Each core in `cores` (all distinct) traverses its own array of
     /// `array_bytes` with the given stride (the mcalibrator access
@@ -83,8 +94,17 @@ class MachineSim {
     [[nodiscard]] BytesPerSecond copy_bandwidth(CoreId core, const std::vector<CoreId>& active,
                                                 Bytes array_bytes) const;
 
-    [[nodiscard]] const MachineSpec& spec() const { return spec_; }
+    [[nodiscard]] const MachineSpec& spec() const { return *spec_; }
     [[nodiscard]] const MemoryModel& memory_model() const { return memory_; }
+
+    /// Seed of the simulated page placement: spec().seed, or the seed a
+    /// replica was given.
+    [[nodiscard]] std::uint64_t seed() const { return seed_; }
+    /// Structural hash of the machine as simulated: spec().fingerprint()
+    /// with seed() in place of spec().seed.
+    [[nodiscard]] std::uint64_t fingerprint() const {
+        return spec_->fingerprint_with_seed(seed_);
+    }
 
     /// Total simulated demand accesses since construction (for perf tests).
     [[nodiscard]] std::uint64_t total_accesses() const { return total_accesses_; }
@@ -92,9 +112,10 @@ class MachineSim {
   private:
     /// One step of a core's resolved lookup path: the physical cache
     /// instance serving the core at one level, with the level's cost and
-    /// indexing mode flattened out of the spec. Rebuilt (cheaply) by
-    /// reset_microarchitecture so the hot loop never consults
-    /// instance_of_ or spec_.levels.
+    /// indexing mode flattened out of the spec, so the hot loop never
+    /// consults instance_of_ or spec_->levels. Built once with the caches
+    /// it points into; moving the simulator moves the vectors' storage,
+    /// not the caches, so the pointers stay valid.
     struct ResolvedLevel {
         SetAssocCache* cache;
         Cycles hit_cycles;
@@ -102,6 +123,9 @@ class MachineSim {
     };
 
     struct CoreRun;  // per-core batched traversal state (engine.cpp)
+
+    /// replica(): `parent`'s spec, memory model and counter handles.
+    MachineSim(const MachineSim& parent, std::uint64_t seed);
 
     /// Shared scaffolding of both engines: argument checks, microarch
     /// reset, address-space and contention setup, the init + warm-up +
@@ -141,11 +165,17 @@ class MachineSim {
     Cycles access_cost(CoreId core, std::uint64_t vaddr, double latency_mult);
 
     void fill_for_prefetch(CoreId core, std::uint64_t vaddr);
+    /// Puts the simulated state in its start-of-traversal condition:
+    /// builds it on the first call, invalidates it on later ones, and
+    /// reseeds the page mapper.
     void reset_microarchitecture(Bytes array_bytes, bool fresh_placement);
-    void build_resolved_paths();
+    /// Allocates the caches, TLBs and prefetchers (all empty) and resolves
+    /// each core's lookup path through them.
+    void build_microarchitecture();
 
-    /// Registry handles looked up once at construction (hot-path rule in
-    /// obs/metrics.hpp), fed aggregate deltas by flush_traverse_counters.
+    /// Registry handles looked up once at construction and copied to
+    /// replicas (hot-path rule in obs/metrics.hpp), fed aggregate deltas
+    /// by flush_traverse_counters.
     struct CounterHandles {
         struct Level {
             obs::Counter* hits;
@@ -171,19 +201,22 @@ class MachineSim {
     /// simulator's inner loop never touches an atomic.
     void flush_traverse_counters(std::uint64_t demand_accesses);
 
-    MachineSpec spec_;
-    MemoryModel memory_;
+    std::shared_ptr<const MachineSpec> spec_;  // shared with replicas
+    std::uint64_t seed_;
+    MemoryModel memory_;  // points into *spec_, so it survives moves
+    CounterHandles counters_;
+    // Built by the first reset_microarchitecture(); empty until then.
     std::vector<std::vector<SetAssocCache>> caches_;  // [level][instance]
     std::vector<std::vector<int>> instance_of_;       // [level][core] -> instance
     std::vector<StreamPrefetcher> prefetchers_;       // per core
     std::vector<SetAssocCache> tlbs_;                 // per core, when enabled
     std::vector<std::vector<ResolvedLevel>> resolved_paths_;  // [core][level]
     std::unique_ptr<PageMapper> mapper_;
+    bool built_ = false;
     std::uint64_t page_shift_ = 0;
     std::uint64_t page_mask_ = 0;  // page_size - 1
     std::uint64_t run_counter_ = 0;
     std::uint64_t total_accesses_ = 0;
-    CounterHandles counters_;
     std::uint64_t tally_prefetch_issued_ = 0;
     std::uint64_t tally_contended_ = 0;
     /// Logical translation count: one per demand access plus one per

@@ -59,7 +59,7 @@ std::uint64_t MachineSpec::page_colors() const {
     return colors;
 }
 
-std::uint64_t MachineSpec::fingerprint() const {
+std::uint64_t MachineSpec::fingerprint_with_seed(std::uint64_t run_seed) const {
     Fingerprint fp;
     fp.add(name);
     fp.add(n_cores);
@@ -127,7 +127,7 @@ std::uint64_t MachineSpec::fingerprint() const {
         }
     }
     fp.add(measurement_jitter);
-    fp.add(seed);
+    fp.add(run_seed);
     return fp.value();
 }
 

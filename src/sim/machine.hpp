@@ -129,7 +129,11 @@ struct MachineSpec {
     /// fields agree, any change perturbs it. Content-addresses the
     /// measurement memo cache (exec::MemoCache) — a cached measurement is
     /// only valid for the exact machine it was taken on.
-    [[nodiscard]] std::uint64_t fingerprint() const;
+    [[nodiscard]] std::uint64_t fingerprint() const { return fingerprint_with_seed(seed); }
+
+    /// fingerprint() of a copy of this spec whose seed is `run_seed`,
+    /// without making the copy (a placement-salted replica's identity).
+    [[nodiscard]] std::uint64_t fingerprint_with_seed(std::uint64_t run_seed) const;
 
     /// Human-readable structural problems; empty means the spec is sound.
     [[nodiscard]] std::vector<std::string> validate() const;

@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <optional>
+#include <string>
+
+#include "base/hash.hpp"
+#include "msg/sim_network.hpp"
+#include "obs/metrics.hpp"
+#include "platform/sim_platform.hpp"
 #include "sim/zoo.hpp"
 
 namespace servet::sim {
@@ -165,10 +174,141 @@ TEST(EngineDeath, RejectsBadArguments) {
     EXPECT_DEATH((void)machine.traverse_reference({1, 1}, KiB, KiB, 1), "distinct");
 }
 
+// ---- replicas: what a fork shares, and that sharing changes no answer ----
+
+MachineSpec with_tlb(MachineSpec spec) {
+    spec.tlb.enabled = true;
+    spec.tlb.entries = 16;
+    spec.tlb.miss_cycles = 30;
+    return spec;
+}
+
+MachineSpec reseeded(MachineSpec spec, std::uint64_t seed) {
+    spec.seed = seed;
+    return spec;
+}
+
+/// Cycles and Stable counter deltas of one two-core traversal.
+struct Observed {
+    TraversalResult result;
+    std::map<std::string, std::uint64_t> deltas;
+};
+
+Observed observe_traverse(MachineSim& machine, Bytes array_bytes, bool fresh_placement) {
+    const std::map<std::string, std::uint64_t> before = obs::registry().stable_counters();
+    Observed seen;
+    seen.result = machine.traverse({0, 1}, array_bytes, 256, 2, fresh_placement);
+    for (const auto& [key, value] : obs::registry().stable_counters()) {
+        const auto it = before.find(key);
+        const std::uint64_t delta = value - (it == before.end() ? 0 : it->second);
+        if (delta != 0) seen.deltas[key] = delta;
+    }
+    return seen;
+}
+
+void expect_same(const Observed& a, const Observed& b) {
+    EXPECT_EQ(a.result.accesses_per_core, b.result.accesses_per_core);
+    ASSERT_EQ(a.result.cycles_per_access.size(), b.result.cycles_per_access.size());
+    for (std::size_t i = 0; i < a.result.cycles_per_access.size(); ++i)
+        EXPECT_EQ(a.result.cycles_per_access[i], b.result.cycles_per_access[i]) << i;
+    EXPECT_EQ(a.deltas, b.deltas);
+}
+
+TEST(Replica, SharesSpecAndFirstTraversalMatchesFreshSimulator) {
+    // A TLB-enabled machine, so the lazily built TLBs are covered too.
+    const MachineSpec spec = with_tlb(quiet(zoo::dempsey()));
+    const MachineSim parent(spec);
+    const std::uint64_t seed = spec.seed ^ mix64(77);
+    MachineSim replica = parent.replica(seed);
+    EXPECT_EQ(&replica.spec(), &parent.spec());
+    EXPECT_EQ(replica.seed(), seed);
+    EXPECT_EQ(replica.fingerprint(), reseeded(spec, seed).fingerprint());
+
+    for (const bool fresh : {true, false}) {
+        MachineSim fresh_sim(reseeded(spec, seed));
+        MachineSim copy = parent.replica(seed);
+        const Observed expected = observe_traverse(fresh_sim, 3 * MiB, fresh);
+        const Observed seen = observe_traverse(copy, 3 * MiB, fresh);
+        EXPECT_GT(seen.deltas.at("sim.tlb.misses"), 0u);
+        expect_same(seen, expected);
+    }
+}
+
+TEST(Replica, MovedSimulatorKeepsItsAnswers) {
+    const MachineSpec spec = with_tlb(quiet(zoo::dunnington()));
+    MachineSim twin(spec);
+    auto original = std::make_unique<MachineSim>(spec);
+    (void)twin.traverse({0, 12}, 1 * MiB, 1 * KiB, 1);
+    (void)original->traverse({0, 12}, 1 * MiB, 1 * KiB, 1);  // builds its caches
+    MachineSim moved(std::move(*original));
+    original.reset();  // the moved-from shell and its old storage are gone
+    expect_same(observe_traverse(moved, 4 * MiB, true), observe_traverse(twin, 4 * MiB, true));
+}
+
+TEST(Replica, PlatformForksShareSpecAndKeepIdentity) {
+    const MachineSpec spec = zoo::dempsey();  // jittered: noise streams matter
+    const SimPlatform parent(spec);
+    const std::uint64_t salt = 0x5a17;
+    const auto unsalted = parent.fork(3, 0);
+    const auto salted = parent.fork(3, salt);
+    auto& unsalted_sim = dynamic_cast<SimPlatform&>(*unsalted);
+    auto& salted_sim = dynamic_cast<SimPlatform&>(*salted);
+    EXPECT_EQ(&unsalted_sim.spec(), &parent.spec());
+    EXPECT_EQ(&salted_sim.spec(), &parent.spec());
+
+    // name() and fingerprint() are those of a deep copy whose seed carries
+    // the placement salt, as replicas have always reported.
+    const std::uint64_t salted_seed = spec.seed ^ mix64(salt);
+    EXPECT_EQ(unsalted->name(), "sim:" + spec.name);
+    EXPECT_EQ(salted->name(), "sim:" + spec.name);
+    EXPECT_EQ(unsalted->fingerprint(), spec.fingerprint());
+    EXPECT_EQ(salted->fingerprint(), reseeded(spec, salted_seed).fingerprint());
+    EXPECT_NE(salted->fingerprint(), parent.fingerprint());
+    const auto salted_twice = salted->fork(4, salt + 1);
+    EXPECT_EQ(salted_twice->fingerprint(),
+              reseeded(spec, salted_seed ^ mix64(salt + 1)).fingerprint());
+
+    // A salted fork simulates the reseeded machine exactly.
+    MachineSim fresh(reseeded(quiet(spec), salted_seed));
+    const SimPlatform quiet_parent(quiet(spec));
+    const auto quiet_fork = quiet_parent.fork(3, salt);
+    expect_same(observe_traverse(dynamic_cast<SimPlatform&>(*quiet_fork).machine(), 3 * MiB,
+                                 true),
+                observe_traverse(fresh, 3 * MiB, true));
+}
+
+TEST(Replica, NetworkForksShareSpecAndMovesKeepAnswers) {
+    const MachineSpec spec = zoo::fat_tree_small();
+    const msg::SimNetwork parent(spec);
+    const auto fork = parent.fork(9);
+    const auto& fork_net = dynamic_cast<const msg::SimNetwork&>(*fork);
+    EXPECT_EQ(&fork_net.model().spec(), &parent.model().spec());
+    EXPECT_EQ(fork->name(), parent.name());
+    EXPECT_EQ(fork->fingerprint(), spec.fingerprint());
+
+    // Moving a network must not leave its model pointing at the old
+    // object: the moved network keeps answering like an unmoved twin.
+    msg::SimNetwork twin(spec);
+    std::optional<msg::SimNetwork> original(std::in_place, spec);
+    msg::SimNetwork moved(std::move(*original));
+    original.reset();
+    const CorePair inter{0, spec.n_cores - 1};
+    const CorePair intra{0, 1};
+    EXPECT_EQ(moved.model().layer_of(inter), twin.model().layer_of(inter));
+    EXPECT_EQ(moved.pingpong_latency(inter, 4 * KiB, 3), twin.pingpong_latency(inter, 4 * KiB, 3));
+    EXPECT_EQ(moved.concurrent_latency({intra, inter}, 64 * KiB, 2),
+              twin.concurrent_latency({intra, inter}, 64 * KiB, 2));
+}
+
 TEST(EngineDeath, InvalidSpecRejected) {
     MachineSpec spec = zoo::dempsey();
     spec.levels[0].geometry.size = spec.levels[1].geometry.size;
     EXPECT_DEATH(MachineSim{spec}, "validation");
+    // Cache state is built by the first traversal, but a spec that leaves
+    // a core without a cache instance is still refused at construction.
+    MachineSpec uncovered = zoo::dempsey();
+    uncovered.levels[1].instances.pop_back();
+    EXPECT_DEATH(MachineSim{uncovered}, "validation");
 }
 
 }  // namespace

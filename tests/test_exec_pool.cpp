@@ -54,6 +54,30 @@ TEST(ThreadPool, EveryIterationRunsExactlyOnce) {
     for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(counts[i].load(), 1) << i;
 }
 
+TEST(ThreadPool, ParallelForReturnsOnlyAfterEveryIteration) {
+    // Four oversubscribed pools, so helpers get preempted mid-claim. The
+    // caller reads the iteration count right after parallel_for returns;
+    // it must be complete every time, or a caller could read a result
+    // slot before the iteration filling it has run.
+    std::atomic<int> early_returns{0};
+    std::vector<std::thread> callers;
+    for (int d = 0; d < 4; ++d)
+        callers.emplace_back([&] {
+            ThreadPool pool(4);
+            for (int round = 0; round < 20000; ++round) {
+                std::atomic<int> done{0};
+                pool.parallel_for(16, [&](std::size_t) {
+                    volatile int sink = 0;
+                    for (int s = 0; s < 300; ++s) sink = sink + 1;
+                    ++done;
+                });
+                if (done.load() != 16) ++early_returns;
+            }
+        });
+    for (std::thread& caller : callers) caller.join();
+    EXPECT_EQ(early_returns.load(), 0);
+}
+
 TEST(ThreadPool, SingleWorkerPoolCompletes) {
     ThreadPool pool(1);
     std::atomic<int> calls{0};

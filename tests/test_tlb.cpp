@@ -58,6 +58,13 @@ struct TlbCase {
                   ///< range is bounded by L1 line capacity (see header)
 };
 
+// Names each case by its fields; the default byte dump would include the
+// uninitialised padding and vary between builds.
+void PrintTo(const TlbCase& c, std::ostream* os) {
+    *os << c.entries << " entries " << c.miss_cycles << " cycles on "
+        << (c.big_l1 ? "athlon3200" : "dempsey");
+}
+
 class TlbDetection : public ::testing::TestWithParam<TlbCase> {};
 
 TEST_P(TlbDetection, RecoversEntriesAndPenalty) {

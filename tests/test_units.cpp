@@ -25,6 +25,10 @@ struct ParseCase {
     Bytes expected;
 };
 
+// Names each case by its contents; the default byte dump would print the
+// `text` pointer and change the test name from one run to the next.
+void PrintTo(const ParseCase& c, std::ostream* os) { *os << c.text << " = " << c.expected; }
+
 class ParseBytesValid : public ::testing::TestWithParam<ParseCase> {};
 
 TEST_P(ParseBytesValid, Parses) {
