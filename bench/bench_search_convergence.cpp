@@ -46,14 +46,10 @@ struct KernelRow {
 int main(int argc, char** argv) {
     CliParser cli("bench_search_convergence: evals-to-optimum per search strategy "
                   "on the dempsey model's tunable kernels.");
-    cli.add_option("seeds", "random-strategy seeds averaged per kernel", "8");
+    cli.add_int("seeds", "random-strategy seeds averaged per kernel", "8", 1);
     cli.add_flag("json", "emit the perf_smoke.py JSON feed instead of text");
     if (!cli.parse(argc, argv)) return 2;
-    const auto seeds = cli.option_int("seeds");
-    if (!seeds || *seeds < 1) {
-        std::fprintf(stderr, "--seeds must be an integer >= 1\n");
-        return 2;
-    }
+    const long long seeds = *cli.option_int("seeds");
 
     const sim::MachineSpec spec = sim::zoo::dempsey();
     SimPlatform platform(spec);
@@ -107,13 +103,13 @@ int main(int argc, char** argv) {
 
         options.strategy = autotune::search::Strategy::Random;
         std::size_t random_total = 0;
-        for (long long seed = 1; seed <= *seeds; ++seed) {
+        for (long long seed = 1; seed <= seeds; ++seed) {
             options.seed = static_cast<std::uint64_t>(seed);
             const auto random = autotune::search::run_search(*kernel, options);
             random_total += random->evals_to_best;
         }
         row.random_mean_evals_to_best =
-            static_cast<double>(random_total) / static_cast<double>(*seeds);
+            static_cast<double>(random_total) / static_cast<double>(seeds);
 
         advantage_sum += row.random_mean_evals_to_best /
                          static_cast<double>(row.guided_evals_to_best);
@@ -123,7 +119,7 @@ int main(int argc, char** argv) {
 
     const std::string workload =
         "dempsey-" + std::to_string(rows.size()) + "kernels-" +
-        std::to_string(*seeds) + "seeds";
+        std::to_string(seeds) + "seeds";
     if (cli.flag("json")) {
         std::printf("{\n");
         std::printf("  \"benchmark\": \"search_convergence\",\n");

@@ -157,17 +157,14 @@ ScenarioResult run_scenario(const std::string& name, std::uint16_t port,
 
 int main(int argc, char** argv) {
     CliParser cli("bench_serve: loopback load generator for the profile service.");
-    cli.add_option("seconds", "measured wall time per scenario", "1.0");
-    cli.add_option("batch", "pipelined requests per write", "32");
-    cli.add_option("threads", "server worker threads (1 = the ROADMAP bar)", "1");
+    cli.add_number("seconds", "measured wall time per scenario", "1.0", 0,
+                   CliParser::Bound::Exclusive);
+    cli.add_int("batch", "pipelined requests per write", "32", 1);
+    cli.add_int("threads", "server worker threads (1 = the ROADMAP bar)", "1", 1, 64);
     cli.add_flag("json", "emit the perf_smoke.py JSON feed instead of text");
     if (!cli.parse(argc, argv)) return 2;
-    const double seconds = cli.option_double("seconds").value_or(1.0);
-    const int batch = static_cast<int>(cli.option_int("batch").value_or(32));
-    if (seconds <= 0 || batch < 1) {
-        std::fprintf(stderr, "--seconds must be > 0 and --batch >= 1\n");
-        return 2;
-    }
+    const double seconds = *cli.option_double("seconds");
+    const int batch = static_cast<int>(*cli.option_int("batch"));
 
     serve::ServeOptions options;
     options.store_dir = "/tmp/bench-serve-store." + std::to_string(::getpid());
@@ -179,7 +176,7 @@ int main(int argc, char** argv) {
             std::filesystem::remove_all(dir, ignored);
         }
     } const store_cleanup{options.store_dir};
-    options.threads = static_cast<int>(cli.option_int("threads").value_or(1));
+    options.threads = static_cast<int>(*cli.option_int("threads"));
     serve::ServeServer server(options);
     std::string error;
     if (!server.start(&error)) {

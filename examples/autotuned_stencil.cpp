@@ -51,8 +51,8 @@ Seconds measure_exchange(msg::Network& network, const autotune::CommGraph& graph
 int main(int argc, char** argv) {
     CliParser cli("Servet autotuned stencil: configure a mini-app from one profile.");
     cli.add_option("machine", examples::kMachineHelp, "dunnington");
-    cli.add_option("ranks", "application ranks", "12");
-    cli.add_option("halo", "halo message size", "32KB");
+    cli.add_int("ranks", "application ranks", "12", 2);
+    cli.add_bytes("halo", "halo message size", "32KB");
     if (!cli.parse(argc, argv)) return 1;
 
     auto target = examples::make_target(cli.option("machine"));
@@ -71,9 +71,8 @@ int main(int argc, char** argv) {
         suite.to_profile(platform.name(), platform.core_count(), platform.page_size());
 
     const int ranks =
-        std::clamp<int>(static_cast<int>(cli.option_int("ranks").value_or(12)), 2,
-                        profile.cores);
-    const Bytes halo = parse_bytes(cli.option("halo")).value_or(32 * KiB);
+        std::clamp<int>(static_cast<int>(*cli.option_int("ranks")), 2, profile.cores);
+    const auto halo = static_cast<Bytes>(*cli.option_int("halo"));
 
     // Application shape: squarest 2D decomposition.
     int rows = 1;

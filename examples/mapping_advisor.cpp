@@ -55,25 +55,26 @@ int main(int argc, char** argv) {
     CliParser cli("Servet mapping advisor: place MPI ranks using measured topology.");
     cli.add_option("machine", examples::kMachineHelp, "dunnington");
     cli.add_option("profile", "saved profile file (skips measurement)", "");
-    cli.add_option("app", "communication pattern: stencil | ring | alltoall", "stencil");
-    cli.add_option("ranks", "number of application ranks", "12");
-    cli.add_option("message", "message size used to price edges", "32KB");
-    cli.add_option("memory-weight", "memory-contention weight in the objective", "0.25");
+    cli.add_choice("app", "communication pattern: stencil | ring | alltoall", "stencil",
+                   {"stencil", "ring", "alltoall"});
+    cli.add_int("ranks", "number of application ranks", "12", 1);
+    cli.add_bytes("message", "message size used to price edges", "32KB");
+    cli.add_number("memory-weight", "memory-contention weight in the objective", "0.25", 0);
     if (!cli.parse(argc, argv)) return 1;
 
     const core::Profile profile =
         obtain_profile(cli.option("machine"), cli.option("profile"));
 
-    const int ranks = static_cast<int>(cli.option_int("ranks").value_or(12));
-    if (ranks < 1 || ranks > profile.cores) {
+    const int ranks = static_cast<int>(*cli.option_int("ranks"));
+    if (ranks > profile.cores) {
         std::fprintf(stderr, "ranks must be in [1, %d]\n", profile.cores);
         return 1;
     }
     const autotune::CommGraph graph = build_app(cli.option("app"), ranks);
 
     autotune::MappingOptions options;
-    options.message_size = parse_bytes(cli.option("message")).value_or(32 * KiB);
-    options.memory_weight = cli.option_double("memory-weight").value_or(0.25);
+    options.message_size = static_cast<Bytes>(*cli.option_int("message"));
+    options.memory_weight = *cli.option_double("memory-weight");
 
     // Baseline: ranks in core order, the default of an unaware launcher.
     std::vector<CoreId> naive(static_cast<std::size_t>(ranks));

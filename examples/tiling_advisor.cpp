@@ -20,8 +20,8 @@ using namespace servet;
 int main(int argc, char** argv) {
     CliParser cli("Servet tiling advisor: cache-aware block sizes for tiled kernels.");
     cli.add_option("machine", examples::kMachineHelp, "dunnington");
-    cli.add_option("element-bytes", "bytes per matrix element", "8");
-    cli.add_option("tiles", "tiles simultaneously live (3 for C += A*B)", "3");
+    cli.add_int("element-bytes", "bytes per matrix element", "8", 1);
+    cli.add_int("tiles", "tiles simultaneously live (3 for C += A*B)", "3", 1);
     if (!cli.parse(argc, argv)) return 1;
 
     auto target = examples::make_target(cli.option("machine"));
@@ -47,9 +47,8 @@ int main(int argc, char** argv) {
 
     // Step 2: derive the plan.
     autotune::TilingRequest request;
-    request.element_bytes =
-        static_cast<std::size_t>(cli.option_int("element-bytes").value_or(8));
-    request.tiles_in_flight = static_cast<int>(cli.option_int("tiles").value_or(3));
+    request.element_bytes = static_cast<std::size_t>(*cli.option_int("element-bytes"));
+    request.tiles_in_flight = static_cast<int>(*cli.option_int("tiles"));
     const auto plan = autotune::plan_tiles(profile, request);
 
     std::printf("Tile plan for %s (%d %zu-byte tiles in flight, %.0f%% occupancy):\n\n",

@@ -1,11 +1,26 @@
 #include "base/cli.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 
 #include "base/check.hpp"
+#include "base/table.hpp"
+#include "base/units.hpp"
 
 namespace servet {
+
+namespace {
+
+template <typename T>
+std::optional<T> parse_number(const std::string& text) {
+    T value{};
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec != std::errc{} || end != text.data() + text.size()) return std::nullopt;
+    return value;
+}
+
+}  // namespace
 
 CliParser::CliParser(std::string program_description)
     : description_(std::move(program_description)) {
@@ -13,16 +28,92 @@ CliParser::CliParser(std::string program_description)
 }
 
 void CliParser::add_flag(std::string name, std::string help) {
-    entries_.emplace(std::move(name),
-                     Entry{std::move(help), "false", "false", /*is_flag=*/true, false});
+    add(std::move(name), std::move(help), "false", {.kind = Kind::Flag});
 }
 
 void CliParser::add_option(std::string name, std::string help, std::string default_value) {
-    entries_.emplace(std::move(name), Entry{std::move(help), default_value,
-                                            std::move(default_value), /*is_flag=*/false, false});
+    add(std::move(name), std::move(help), std::move(default_value), {.kind = Kind::Text});
+}
+
+void CliParser::add_int(std::string name, std::string help, std::string default_value,
+                        long long lo, long long hi) {
+    add(std::move(name), std::move(help), std::move(default_value),
+        {.kind = Kind::Int, .int_lo = lo, .int_hi = hi});
+}
+
+void CliParser::add_number(std::string name, std::string help, std::string default_value,
+                           double lo, Bound bound) {
+    add(std::move(name), std::move(help), std::move(default_value),
+        {.kind = Kind::Number, .number_lo = lo, .number_bound = bound});
+}
+
+void CliParser::add_bytes(std::string name, std::string help, std::string default_value) {
+    add(std::move(name), std::move(help), std::move(default_value), {.kind = Kind::ByteSize});
+}
+
+void CliParser::add_choice(std::string name, std::string help, std::string default_value,
+                           std::vector<std::string> choices) {
+    add(std::move(name), std::move(help), std::move(default_value),
+        {.kind = Kind::Choice, .choices = std::move(choices)});
+}
+
+void CliParser::add(std::string name, std::string help, std::string default_value,
+                    Entry entry) {
+    SERVET_CHECK_MSG(refusal(name, entry, default_value).empty(),
+                     "option default does not fit its own type");
+    entry.help = std::move(help);
+    entry.value = default_value;
+    entry.default_value = std::move(default_value);
+    entries_.emplace(std::move(name), std::move(entry));
+}
+
+std::string CliParser::refusal(const std::string& name, const Entry& entry,
+                               const std::string& value) {
+    std::string expected;  // stays empty when `value` fits
+    switch (entry.kind) {
+        case Kind::Flag:
+            if (value != "true" && value != "false") expected = "a boolean (true/false/1/0)";
+            break;
+        case Kind::Text:
+            break;
+        case Kind::Int: {
+            const auto v = parse_number<long long>(value);
+            if (v && *v >= entry.int_lo && *v <= entry.int_hi) break;
+            expected = "an integer";
+            if (entry.int_hi != std::numeric_limits<long long>::max())
+                expected += strf(" in [%lld, %lld]", entry.int_lo, entry.int_hi);
+            else if (entry.int_lo != std::numeric_limits<long long>::min())
+                expected += strf(" >= %lld", entry.int_lo);
+            break;
+        }
+        case Kind::Number: {
+            const auto v = parse_number<double>(value);
+            const bool exclusive = entry.number_bound == Bound::Exclusive;
+            if (v && (exclusive ? *v > entry.number_lo : *v >= entry.number_lo)) break;
+            expected = strf("a number %s %g", exclusive ? ">" : ">=", entry.number_lo);
+            break;
+        }
+        case Kind::ByteSize:
+            if (!parse_bytes(value)) expected = "a byte size (e.g. 4096, 16KB, 2MB)";
+            break;
+        case Kind::Choice:
+            if (std::find(entry.choices.begin(), entry.choices.end(), value) !=
+                entry.choices.end())
+                break;
+            for (const std::string& choice : entry.choices)
+                expected += (expected.empty() ? "one of: " : ", ") + choice;
+            return "unknown " + name + " '" + value + "' (--" + name + " expects " + expected +
+                   ")";
+    }
+    if (expected.empty()) return "";
+    return "--" + name + " must be " + expected + ", got '" + value + "'";
 }
 
 bool CliParser::parse(int argc, const char* const* argv) {
+    const auto reject = [&](const std::string& diagnostic) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], diagnostic.c_str());
+        return false;
+    };
     for (int i = 1; i < argc; ++i) {
         std::string_view arg = argv[i];
         if (!arg.starts_with("--")) {
@@ -30,80 +121,55 @@ bool CliParser::parse(int argc, const char* const* argv) {
             continue;
         }
         arg.remove_prefix(2);
-        std::string_view key = arg;
-        std::optional<std::string_view> inline_value;
+        std::string key(arg);
+        std::optional<std::string> inline_value;
         if (const auto eq = arg.find('='); eq != std::string_view::npos) {
             key = arg.substr(0, eq);
             inline_value = arg.substr(eq + 1);
         }
         const auto it = entries_.find(key);
-        if (it == entries_.end()) {
-            std::fprintf(stderr, "%s: unknown option --%.*s (see --help)\n", argv[0],
-                         static_cast<int>(key.size()), key.data());
-            return false;
-        }
+        if (it == entries_.end()) return reject("unknown option --" + key + " (see --help)");
         Entry& entry = it->second;
-        entry.seen = true;
-        if (entry.is_flag) {
-            // `--flag=VALUE` must be an actual boolean: anything else used
-            // to parse "successfully" and then compare unequal to "true",
-            // silently disabling the flag the user just asked for.
-            const std::string_view raw = inline_value.value_or("true");
-            if (raw == "true" || raw == "1") {
-                entry.value = "true";
-            } else if (raw == "false" || raw == "0") {
-                entry.value = "false";
-            } else {
-                std::fprintf(stderr,
-                             "%s: option --%.*s requires a boolean value "
-                             "(true/false/1/0), got '%.*s'\n",
-                             argv[0], static_cast<int>(key.size()), key.data(),
-                             static_cast<int>(raw.size()), raw.data());
-                return false;
-            }
+        std::string value;
+        if (entry.kind == Kind::Flag) {
+            value = inline_value.value_or("true");
+            if (value == "1") value = "true";
+            if (value == "0") value = "false";
         } else if (inline_value) {
-            entry.value = *inline_value;
+            value = *inline_value;
         } else if (i + 1 < argc) {
-            entry.value = argv[++i];
+            value = argv[++i];
         } else {
-            std::fprintf(stderr, "%s: option --%.*s requires a value\n", argv[0],
-                         static_cast<int>(key.size()), key.data());
+            return reject("option --" + key + " requires a value");
+        }
+        if (std::string why = refusal(key, entry, value); !why.empty()) return reject(why);
+        entry.value = std::move(value);
+        if (key == "help" && flag("help")) {
+            std::fprintf(stderr, "%s", usage_text(argv[0]).c_str());
             return false;
         }
-    }
-    if (flag("help")) {
-        print_usage(argv[0]);
-        return false;
     }
     return true;
 }
 
-bool CliParser::flag(std::string_view name) const {
+const CliParser::Entry& CliParser::lookup(std::string_view name) const {
     const auto it = entries_.find(name);
-    SERVET_CHECK_MSG(it != entries_.end(), "flag() on unregistered option");
-    return it->second.value == "true";
+    SERVET_CHECK_MSG(it != entries_.end(), "reading an unregistered option");
+    return it->second;
 }
 
-const std::string& CliParser::option(std::string_view name) const {
-    const auto it = entries_.find(name);
-    SERVET_CHECK_MSG(it != entries_.end(), "option() on unregistered option");
-    return it->second.value;
-}
+bool CliParser::flag(std::string_view name) const { return lookup(name).value == "true"; }
+
+const std::string& CliParser::option(std::string_view name) const { return lookup(name).value; }
 
 std::optional<long long> CliParser::option_int(std::string_view name) const {
-    const std::string& text = option(name);
-    long long value = 0;
-    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc{} || end != text.data() + text.size()) return std::nullopt;
-    return value;
+    const Entry& entry = lookup(name);
+    if (entry.kind == Kind::ByteSize) return static_cast<long long>(*parse_bytes(entry.value));
+    return parse_number<long long>(entry.value);
 }
 
 std::optional<double> CliParser::option_double(std::string_view name) const {
-    const std::string& text = option(name);
-    double value = 0;
-    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc{} || end != text.data() + text.size()) return std::nullopt;
-    return value;
+    return parse_number<double>(option(name));
 }
 
 std::string CliParser::usage_text(std::string_view argv0) const {
@@ -111,7 +177,7 @@ std::string CliParser::usage_text(std::string_view argv0) const {
                       " [options]\n\noptions:\n";
     char line[512];
     for (const auto& [name, entry] : entries_) {
-        if (entry.is_flag) {
+        if (entry.kind == Kind::Flag) {
             std::snprintf(line, sizeof line, "  --%-22s %s\n", name.c_str(),
                           entry.help.c_str());
         } else {
@@ -124,10 +190,6 @@ std::string CliParser::usage_text(std::string_view argv0) const {
         out += line;
     }
     return out;
-}
-
-void CliParser::print_usage(std::string_view argv0) const {
-    std::fprintf(stderr, "%s", usage_text(argv0).c_str());
 }
 
 }  // namespace servet

@@ -159,6 +159,99 @@ TEST(Cli, DoubleOptionParses) {
     EXPECT_DOUBLE_EQ(cli.option_double("threshold").value(), 2.5);
 }
 
+// ---- typed options: checked once, in parse() ----
+
+/// One parser with an option of every type; defaults mirror real ones.
+CliParser typed_parser() {
+    CliParser cli("test");
+    cli.add_int("jobs", "workers", "1", 1);
+    cli.add_int("port", "tcp port", "0", 0, 65535);
+    cli.add_number("timeout", "seconds", "10", 0, CliParser::Bound::Exclusive);
+    cli.add_number("interval", "seconds", "0", 0);
+    cli.add_bytes("size", "message size", "32KB");
+    cli.add_choice("app", "pattern", "stencil", {"stencil", "ring"});
+    return cli;
+}
+
+bool parses(CliParser& cli, std::initializer_list<const char*> args) {
+    const auto argv = argv_of(args);
+    return cli.parse(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(Cli, TypedDefaultsPassTheirOwnChecks) {
+    CliParser cli = typed_parser();
+    ASSERT_TRUE(parses(cli, {}));
+    EXPECT_EQ(cli.option_int("jobs"), 1);
+    EXPECT_EQ(cli.option_int("port"), 0);
+    EXPECT_EQ(cli.option_double("timeout"), 10.0);
+    EXPECT_EQ(cli.option_double("interval"), 0.0);
+    EXPECT_EQ(cli.option_int("size"), 32 * 1024);  // byte sizes read in bytes
+    EXPECT_EQ(cli.option("size"), "32KB");
+    EXPECT_EQ(cli.option("app"), "stencil");
+}
+
+TEST(Cli, TypedOptionsRefuseMalformedValues) {
+    for (const char* arg : {"--jobs=abc", "--jobs=2.5", "--jobs=", "--port=8080x",
+                            "--timeout=soon", "--interval=", "--size=junk", "--size=-5KB",
+                            "--size=12XB", "--app=typo", "--app=Stencil"}) {
+        CliParser cli = typed_parser();
+        EXPECT_FALSE(parses(cli, {arg})) << arg;
+        EXPECT_FALSE(cli.flag("help")) << arg;
+    }
+}
+
+TEST(Cli, TypedOptionsRefuseOutOfRangeValues) {
+    for (const char* arg : {"--jobs=0", "--jobs=-3", "--port=-1", "--port=65536",
+                            "--timeout=0", "--timeout=-1", "--interval=-0.5"}) {
+        CliParser cli = typed_parser();
+        EXPECT_FALSE(parses(cli, {arg})) << arg;
+    }
+    // The bounds themselves are in range.
+    CliParser cli = typed_parser();
+    ASSERT_TRUE(parses(cli, {"--jobs=1", "--port=65535", "--timeout=0.001", "--interval=0"}));
+    EXPECT_EQ(cli.option_int("port"), 65535);
+}
+
+TEST(Cli, EqualsAndSeparateValueFormsAgree) {
+    const struct {
+        const char* name;
+        const char* value;
+    } cases[] = {{"jobs", "4"}, {"port", "8080"}, {"timeout", "2.5"}, {"interval", "1"},
+                 {"size", "64KB"}, {"app", "ring"}, {"jobs", "x"}, {"size", "junk"},
+                 {"app", "typo"}};
+    for (const auto& c : cases) {
+        const std::string flag = std::string("--") + c.name;
+        const std::string joined = flag + "=" + c.value;
+        CliParser separate = typed_parser();
+        CliParser equals = typed_parser();
+        const bool separate_ok = parses(separate, {flag.c_str(), c.value});
+        EXPECT_EQ(parses(equals, {joined.c_str()}), separate_ok) << joined;
+        if (!separate_ok) continue;
+        EXPECT_EQ(equals.option(c.name), separate.option(c.name)) << joined;
+        EXPECT_EQ(equals.option_int(c.name), separate.option_int(c.name)) << joined;
+        EXPECT_EQ(equals.option_double(c.name), separate.option_double(c.name)) << joined;
+    }
+}
+
+TEST(Cli, HelpIsDistinguishableFromAnError) {
+    CliParser help = typed_parser();
+    EXPECT_FALSE(parses(help, {"--help"}));
+    EXPECT_TRUE(help.flag("help"));
+
+    CliParser bad = typed_parser();
+    EXPECT_FALSE(parses(bad, {"--jobs=0", "--help"}));
+    EXPECT_FALSE(bad.flag("help"));
+}
+
+TEST(CliDeathTest, DefaultThatFailsItsOwnTypeAborts) {
+    EXPECT_DEATH(
+        {
+            CliParser cli("test");
+            cli.add_int("jobs", "workers", "0", 1);
+        },
+        "default");
+}
+
 // ---- platform files (the `servet profile --platform` input) ----
 
 constexpr const char* kValidFatTree =

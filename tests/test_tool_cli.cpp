@@ -15,7 +15,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #ifndef SERVET_TOOL_PATH
 #error "SERVET_TOOL_PATH must be defined by the build"
@@ -595,6 +597,76 @@ TEST(ToolCli, UnknownCommandFails) {
     const auto result = run_tool("frobnicate");
     EXPECT_NE(result.exit_code, 0);
     EXPECT_NE(result.output.find("usage"), std::string::npos);
+}
+
+TEST(ToolCli, InvalidOptionValuesExitTwoWithoutMeasuring) {
+    // Each of these used to fall back to the option's default (or, for
+    // machines, ignore the flag) and measure or price something other than
+    // what was asked. Every one must now be refused before any work.
+    const std::string tag = std::to_string(::getpid());
+    const std::string profile = ::testing::TempDir() + "/tool_cli_invalid_" + tag + ".profile";
+    ASSERT_EQ(run_tool("profile --machine dempsey --fast --no-timing --out " + profile)
+                  .exit_code, 0);
+    const std::string out = ::testing::TempDir() + "/tool_cli_invalid_out_" + tag;
+    const std::string run_dir = ::testing::TempDir() + "/tool_cli_invalid_run_" + tag;
+    const struct {
+        std::string args;
+        const char* named;  // what stderr must mention
+    } cases[] = {
+        {"price --profile " + profile + " --from abc", "--from"},
+        {"price --profile " + profile + " --size junk", "--size"},
+        {"price --profile " + profile + " --size -5KB", "--size"},
+        {"tlb --machine dempsey --l1 junk", "--l1"},
+        {"map --profile " + profile + " --app typo", "--app"},
+        {"map --profile " + profile + " --ranks zz", "--ranks"},
+        {"broadcast --profile " + profile + " --root q", "--root"},
+        {"profile --machine dempsey --robust abc --out " + out, "--robust"},
+        {"watch --machine dempsey --run-dir " + run_dir + " --perturb-tick x",
+         "--perturb-tick"},
+        {"machines --bogus", "--bogus"},
+        {"profile dempsey --out " + out, "'dempsey'"},
+    };
+    for (const auto& c : cases) {
+        const auto result = run_tool(c.args);
+        EXPECT_EQ(result.exit_code, 2) << c.args << "\n" << result.output;
+        EXPECT_NE(result.output.find(c.named), std::string::npos) << c.args << "\n"
+                                                                  << result.output;
+        // Nothing measured or priced: no suite log, no product on stdout.
+        EXPECT_EQ(result.output.find("[servet info"), std::string::npos) << c.args;
+        EXPECT_EQ(result.output.find("one-way"), std::string::npos) << c.args;
+        EXPECT_EQ(result.output.find("rank -> core"), std::string::npos) << c.args;
+        EXPECT_EQ(result.output.find("broadcast of"), std::string::npos) << c.args;
+        EXPECT_EQ(result.output.find("data TLB"), std::string::npos) << c.args;
+        EXPECT_EQ(result.output.find("native"), std::string::npos) << c.args;
+    }
+    EXPECT_FALSE(std::ifstream(out).good());
+    EXPECT_FALSE(std::ifstream(run_dir + "/series.servet").good());
+    std::remove(profile.c_str());
+}
+
+/// The command names `servet --help` lists.
+std::vector<std::string> listed_commands() {
+    const auto usage = run_tool("--help");
+    EXPECT_EQ(usage.exit_code, 0);
+    std::vector<std::string> commands;
+    std::istringstream in(usage.output.substr(usage.output.find("commands:\n") + 10));
+    std::string line;
+    while (std::getline(in, line) && line.starts_with("  "))
+        commands.push_back(line.substr(2, line.find(' ', 2) - 2));
+    return commands;
+}
+
+TEST(ToolCli, EveryCommandHelpExitsZeroAndUnknownOptionExitsTwo) {
+    const std::vector<std::string> commands = listed_commands();
+    EXPECT_EQ(commands.size(), 13u);
+    for (const std::string& command : commands) {
+        const auto help = run_tool(command + " --help");
+        EXPECT_EQ(help.exit_code, 0) << command << "\n" << help.output;
+        EXPECT_NE(help.output.find("usage: " + command), std::string::npos) << help.output;
+        const auto bogus = run_tool(command + " --no-such-option");
+        EXPECT_EQ(bogus.exit_code, 2) << command << "\n" << bogus.output;
+        EXPECT_NE(bogus.output.find("--no-such-option"), std::string::npos) << bogus.output;
+    }
 }
 
 }  // namespace

@@ -1,36 +1,13 @@
 // The servet command-line tool: run the suite once at installation time,
 // store the profile, and consult it later — the deployment model of
-// Section IV-E. Subcommands:
-//
-//   servet machines                       list available targets
-//   servet profile  [--machine M] [--out FILE] [--fast] [--robust N]
-//   servet report   --profile FILE       pretty-print a stored profile
-//   servet tlb      [--machine M]        measure the data TLB
-//   servet price    --profile FILE --from A --to B --size S
-//                                         cost one message from the profile
-//   servet metrics  [--machine M] [--out FILE]
-//                                         run the suite, summarize obs metrics
-//   servet watch    --run-dir D [--ticks N]
-//                                         re-measure periodically, journal the
-//                                         time series, judge drift
-//   servet validate --profile FILE       check a profile against physical
-//                                         invariants; --repair re-measures,
-//                                         --against diffs two profiles
-//   servet serve    [--port P] [--store-dir D]
-//                                         long-running profile service
-//                                         (HTTP/1.1 + JSON; see docs/serve.md)
-//   servet fetch    --port P --fingerprint FP [--out FILE]
-//                                         download a profile from a serve
-//                                         store (conditional GET via ETag)
-//   servet tune     --kernel K --strategy S [--budget N]
-//                                         search a tunable kernel's config
-//                                         space (see docs/autotune.md)
+// Section IV-E. `kCommands` at the bottom is the one list of subcommands:
+// it drives dispatch, `servet --help` and the parse/exit policy. README.md
+// documents the exit codes.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 
 #include "autotune/collective_select.hpp"
 #include "autotune/kernels/kernels.hpp"
@@ -67,6 +44,11 @@ using namespace servet;
 
 namespace {
 
+/// An invalid invocation or input: an option the command does not take, a
+/// value that does not fit its option's type, or options that contradict
+/// each other. Nothing is measured. `--help` exits 0.
+constexpr int kExitUsage = 2;
+
 /// `servet profile` wrote a profile, but at least one phase failed and
 /// the file's [errors] section lists it. Distinct from 1 (hard failure,
 /// nothing usable written) so scripts can keep the partial profile.
@@ -74,8 +56,8 @@ constexpr int kExitPartialProfile = 3;
 
 /// `servet profile --resume` refused: the journal under --run-dir was
 /// written by a run with different options or on a different machine.
-/// Distinct from 1 so scripts can distinguish "wrong invocation" from
-/// "use a fresh --run-dir".
+/// An invalid input like every other exit-2 path; distinct from 1
+/// (runtime failure) so scripts know to use a fresh --run-dir.
 constexpr int kExitIncompatibleJournal = 2;
 
 /// `servet validate` found at least one Error-severity violation (and
@@ -83,7 +65,7 @@ constexpr int kExitIncompatibleJournal = 2;
 constexpr int kExitInvalidProfile = 2;
 
 /// `servet profile --platform FILE` could not parse the platform file.
-/// Same "wrong invocation" family as the other exit-2 paths; the stderr
+/// Same invalid-input family as the other exit-2 paths; the stderr
 /// line carries the stable PlatformError code.
 constexpr int kExitInvalidPlatform = 2;
 
@@ -98,6 +80,10 @@ constexpr int kExitDrift = 4;
 /// summary table) was still produced; partial-profile (3) and
 /// invalid-input (2) conditions take precedence.
 constexpr int kExitExportFailed = 5;
+
+int int_option(const CliParser& cli, std::string_view name) {
+    return static_cast<int>(*cli.option_int(name));
+}
 
 struct Target {
     std::unique_ptr<Platform> platform;
@@ -115,50 +101,131 @@ Target make_sim_target(const sim::MachineSpec& spec) {
     return target;
 }
 
-std::optional<Target> make_target(const std::string& name) {
-    if (name == "native") {
-        Target target;
-        auto platform = std::make_unique<NativePlatform>();
-        target.network = std::make_unique<msg::ThreadNetwork>(platform->core_count());
-        target.platform = std::move(platform);
-        return target;
-    }
-    std::optional<sim::MachineSpec> spec;
-    if (name == "dunnington") spec = sim::zoo::dunnington();
-    if (name == "finis-terrae") spec = sim::zoo::finis_terrae();
-    if (name == "finis-terrae-2n") spec = sim::zoo::finis_terrae(2);
-    if (name == "dempsey") spec = sim::zoo::dempsey();
-    if (name == "athlon3200") spec = sim::zoo::athlon3200();
-    if (name == "nehalem2s") spec = sim::zoo::nehalem2s();
-    if (name == "ft-small") spec = sim::zoo::fat_tree_small();
-    if (name == "torus4x4") spec = sim::zoo::torus4x4();
-    if (name == "ft1024") spec = sim::zoo::fat_tree_cluster(3);
-    if (name == "ft4096") spec = sim::zoo::fat_tree_cluster(4);
-    if (name == "df10240") spec = sim::zoo::dragonfly_cluster(10, 8, 8);
-    if (!spec) return std::nullopt;
-    return make_sim_target(*spec);
+/// The measurement targets: `--machine` accepts exactly these names and
+/// `servet machines` lists them. `build` is null for the host itself.
+struct Machine {
+    const char* name;
+    sim::MachineSpec (*build)();
+    const char* description;
+};
+
+const Machine kMachines[] = {
+    {"native", nullptr, "this host, measured with pinned threads"},
+    {"dunnington", [] { return sim::zoo::dunnington(); },
+     "4x Xeon E7450, shared L2 pairs + L3 packages"},
+    {"finis-terrae", [] { return sim::zoo::finis_terrae(); },
+     "HP RX7640 node, Itanium2, cells + shared buses"},
+    {"finis-terrae-2n", [] { return sim::zoo::finis_terrae(2); },
+     "two RX7640 nodes over InfiniBand"},
+    {"dempsey", [] { return sim::zoo::dempsey(); }, "Xeon 5060, the smeared-L2 case of Fig. 2"},
+    {"athlon3200", [] { return sim::zoo::athlon3200(); }, "unicore AMD Athlon"},
+    {"nehalem2s", [] { return sim::zoo::nehalem2s(); },
+     "post-paper control: 2-socket NUMA with shared L3"},
+    {"ft-small", [] { return sim::zoo::fat_tree_small(); },
+     "cluster: arity-2/2-level fat-tree, 4 dual-core nodes"},
+    {"torus4x4", [] { return sim::zoo::torus4x4(); }, "cluster: 4x4 torus of unicore nodes"},
+    {"ft1024", [] { return sim::zoo::fat_tree_cluster(3); },
+     "cluster: arity-4/3-level fat-tree, 64 16-core nodes"},
+    {"ft4096", [] { return sim::zoo::fat_tree_cluster(4); },
+     "cluster: arity-4/4-level fat-tree, 256 16-core nodes"},
+    {"df10240", [] { return sim::zoo::dragonfly_cluster(10, 8, 8); },
+     "cluster: 10-group dragonfly, 640 16-core nodes"},
+};
+
+void add_machine_option(CliParser& cli, const char* default_machine) {
+    std::vector<std::string> names;
+    for (const Machine& machine : kMachines) names.emplace_back(machine.name);
+    cli.add_choice("machine", "target (see 'servet machines')", default_machine,
+                   std::move(names));
 }
 
-int cmd_machines() {
+/// The --machine target; parse() already refused names not in kMachines.
+Target make_target(const CliParser& cli) {
+    const Machine& machine = *std::find_if(
+        std::begin(kMachines), std::end(kMachines),
+        [&](const Machine& m) { return cli.option("machine") == m.name; });
+    if (machine.build != nullptr) return make_sim_target(machine.build());
+    Target target;
+    auto platform = std::make_unique<NativePlatform>();
+    target.network = std::make_unique<msg::ThreadNetwork>(platform->core_count());
+    target.platform = std::move(platform);
+    return target;
+}
+
+int cmd_machines(const CliParser&) {
     TextTable table({"name", "kind", "cores", "description"});
-    table.add_row({"native", "hardware", "-", "this host, measured with pinned threads"});
-    const auto add = [&](const sim::MachineSpec& spec, const char* description) {
-        table.add_row({spec.name, "model", strf("%d", spec.n_cores), description});
-    };
-    add(sim::zoo::dunnington(), "4x Xeon E7450, shared L2 pairs + L3 packages");
-    add(sim::zoo::finis_terrae(), "HP RX7640 node, Itanium2, cells + shared buses");
-    add(sim::zoo::finis_terrae(2), "two RX7640 nodes over InfiniBand");
-    add(sim::zoo::dempsey(), "Xeon 5060, the smeared-L2 case of Fig. 2");
-    add(sim::zoo::athlon3200(), "unicore AMD Athlon");
-    add(sim::zoo::nehalem2s(), "post-paper control: 2-socket NUMA with shared L3");
-    add(sim::zoo::fat_tree_small(), "cluster: arity-2/2-level fat-tree, 4 dual-core nodes");
-    add(sim::zoo::torus4x4(), "cluster: 4x4 torus of unicore nodes");
-    add(sim::zoo::fat_tree_cluster(3), "cluster: arity-4/3-level fat-tree, 64 16-core nodes");
-    add(sim::zoo::fat_tree_cluster(4), "cluster: arity-4/4-level fat-tree, 256 16-core nodes");
-    add(sim::zoo::dragonfly_cluster(10, 8, 8),
-        "cluster: 10-group dragonfly, 640 16-core nodes");
+    for (const Machine& machine : kMachines) {
+        const auto spec = machine.build ? std::optional(machine.build()) : std::nullopt;
+        table.add_row({machine.name, spec ? "model" : "hardware",
+                       spec ? strf("%d", spec->n_cores) : "-", machine.description});
+    }
     std::printf("%s", table.render().c_str());
     return 0;
+}
+
+/// --jobs and --fast, read back by make_suite_options().
+void add_suite_options(CliParser& cli) {
+    cli.add_int("jobs", "concurrent measurement tasks (modeled machines only)", "1", 1);
+    cli.add_flag("fast", "fewer repeats, core-0 pairs only");
+}
+
+/// The --fast suite preset; also the rough-shape profile `tune` measures.
+void apply_fast_preset(core::SuiteOptions& options) {
+    options.mcalibrator.repeats = 2;
+    options.shared_cache.only_with_core = 0;
+    options.mem_overhead.only_with_core = 0;
+}
+
+/// Suite options from --fast and --jobs.
+core::SuiteOptions make_suite_options(const CliParser& cli) {
+    core::SuiteOptions options;
+    if (cli.flag("fast")) apply_fast_preset(options);
+    options.jobs = int_option(cli, "jobs");
+    return options;
+}
+
+/// Cluster runs characterize communication only: the per-node substrate
+/// comes from the zoo, and the cache phases would scale with rank count.
+/// Skipping cache_size keeps the comm probe at its default message size,
+/// and the sampled pair set replaces the O(n^2) full scan. Returns whether
+/// `target` is a cluster.
+bool restrict_cluster_to_comm(const Target& target, core::SuiteOptions& options) {
+    if (!target.spec || !target.spec->topology.enabled()) return false;
+    options.run_cache_size = false;
+    options.comm.probe_pairs = core::cluster_probe_pairs(*target.spec, options.comm);
+    return true;
+}
+
+/// The --faults plan (an empty spec is the inactive plan); nullopt after a
+/// diagnostic when the spec does not parse.
+std::optional<FaultPlan> parse_faults(const CliParser& cli) {
+    std::optional<FaultPlan> faults = FaultPlan::parse(cli.option("faults"));
+    if (!faults)
+        std::fprintf(stderr, "invalid --faults spec '%s'\n", cli.option("faults").c_str());
+    return faults;
+}
+
+/// The stored profile at `path`; nullopt after a diagnostic.
+std::optional<core::Profile> load_profile(const std::string& path) {
+    std::string diagnostic;
+    std::optional<core::Profile> profile = core::Profile::load(path, &diagnostic);
+    if (!profile) std::fprintf(stderr, "%s\n", diagnostic.c_str());
+    return profile;
+}
+
+std::string fmt_value(double v) {
+    if (std::isnan(v)) return "absent";
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.6g", v);
+    return buf;
+}
+
+/// One drift verdict row, shared by `watch` and `validate --against`.
+void print_verdict(const char* indent, const watch::MetricVerdict& v) {
+    std::printf("%s%-15s %-32s baseline %-12s current %-12s score %s\n", indent,
+                watch::verdict_code(v.verdict), v.metric.c_str(),
+                fmt_value(v.baseline).c_str(), fmt_value(v.value).c_str(),
+                std::isnan(v.score) ? "-" : fmt_value(v.score).c_str());
 }
 
 /// Registers the options shared by every command that *measures* —
@@ -167,14 +234,13 @@ int cmd_machines() {
 /// that wrote the journal, or the journal's compatibility check (options
 /// hash, substrate fingerprint) will refuse it.
 void add_measurement_options(CliParser& cli) {
-    cli.add_option("machine", "target (see 'servet machines')", "native");
-    cli.add_option("robust", "median-of-N outlier rejection (1 = off)", "1");
-    cli.add_option("robust-max", "adaptive sampling cap (> --robust enables convergence-"
-                   "driven sampling)", "0");
+    add_machine_option(cli, "native");
+    cli.add_int("robust", "median-of-N outlier rejection (1 = off)", "1", 1);
+    cli.add_int("robust-max", "adaptive sampling cap (> --robust enables convergence-"
+                "driven sampling)", "0", 0);
     cli.add_option("faults", "inject faults: spike=P,factor=F,nan=P,throw=P,hang=P,"
                    "drop=P,delay=P,seed=N (testing)", "");
-    cli.add_option("jobs", "concurrent measurement tasks (modeled machines only)", "1");
-    cli.add_flag("fast", "fewer repeats, core-0 pairs only");
+    add_suite_options(cli);
 }
 
 /// The measurement substrate a run drives: the raw target plus the
@@ -189,44 +255,33 @@ struct MeasureStack {
     msg::Network* network = nullptr;
 };
 
+/// Nullopt (after a diagnostic) when --faults does not parse.
 std::optional<MeasureStack> make_measure_stack(const CliParser& cli,
                                                std::optional<Target> target_override = {}) {
+    const std::optional<FaultPlan> faults = parse_faults(cli);
+    if (!faults) return std::nullopt;
     MeasureStack stack;
-    auto target = target_override ? std::move(target_override)
-                                  : make_target(cli.option("machine"));
-    if (!target) {
-        std::fprintf(stderr, "unknown machine '%s'\n", cli.option("machine").c_str());
-        return std::nullopt;
-    }
-    stack.target = std::move(*target);
+    stack.target = target_override ? std::move(*target_override) : make_target(cli);
     stack.platform = stack.target.platform.get();
     stack.network = stack.target.network.get();
 
     // Fault injection wraps the raw substrates first, so robust sampling
     // sees (and has to survive) the injected faults — the composition a
     // real noisy machine presents.
-    if (!cli.option("faults").empty()) {
-        const std::optional<FaultPlan> faults = FaultPlan::parse(cli.option("faults"));
-        if (!faults) {
-            std::fprintf(stderr, "invalid --faults spec '%s'\n",
-                         cli.option("faults").c_str());
-            return std::nullopt;
-        }
-        if (faults->any_platform_faults()) {
-            stack.flaky = std::make_unique<FlakyPlatform>(*stack.platform, *faults);
-            stack.platform = stack.flaky.get();
-        }
-        if (stack.network != nullptr && faults->any_network_faults()) {
-            stack.faulty_net = std::make_unique<msg::FaultyNetwork>(*stack.network, *faults);
-            stack.network = stack.faulty_net.get();
-        }
+    if (faults->any_platform_faults()) {
+        stack.flaky = std::make_unique<FlakyPlatform>(*stack.platform, *faults);
+        stack.platform = stack.flaky.get();
+    }
+    if (stack.network != nullptr && faults->any_network_faults()) {
+        stack.faulty_net = std::make_unique<msg::FaultyNetwork>(*stack.network, *faults);
+        stack.network = stack.faulty_net.get();
     }
 
-    const int samples = static_cast<int>(cli.option_int("robust").value_or(1));
-    const int samples_max = static_cast<int>(cli.option_int("robust-max").value_or(0));
+    const int samples = int_option(cli, "robust");
+    const int samples_max = int_option(cli, "robust-max");
     if (samples_max > samples) {
         RobustOptions robust_options;
-        robust_options.min_samples = std::max(samples, 1);
+        robust_options.min_samples = samples;
         robust_options.max_samples = samples_max;
         stack.robust = std::make_unique<RobustPlatform>(*stack.platform, robust_options);
         stack.platform = stack.robust.get();
@@ -237,32 +292,13 @@ std::optional<MeasureStack> make_measure_stack(const CliParser& cli,
     return stack;
 }
 
-/// Suite options from the shared measurement flags. Nullopt (with a
-/// message) on invalid values.
-std::optional<core::SuiteOptions> make_suite_options(const CliParser& cli) {
-    core::SuiteOptions options;
-    if (cli.flag("fast")) {
-        options.mcalibrator.repeats = 2;
-        options.shared_cache.only_with_core = 0;
-        options.mem_overhead.only_with_core = 0;
-    }
-    const auto jobs = cli.option_int("jobs");
-    if (!jobs || *jobs < 1) {
-        std::fprintf(stderr, "--jobs must be an integer >= 1\n");
-        return std::nullopt;
-    }
-    options.jobs = static_cast<int>(*jobs);
-    return options;
-}
-
-int cmd_profile(int argc, const char* const* argv) {
-    CliParser cli("servet profile: run the full suite and store the result.");
+void profile_options(CliParser& cli) {
     add_measurement_options(cli);
     cli.add_option("platform", "cluster platform file describing a simulated machine "
                    "(overrides --machine; see docs/cluster-sim.md)", "");
     cli.add_option("out", "profile file to write", "servet.profile");
-    cli.add_option("task-deadline", "per-measurement-task deadline in seconds (0 = off)",
-                   "0");
+    cli.add_number("task-deadline", "per-measurement-task deadline in seconds (0 = off)", "0",
+                   0);
     cli.add_option("memo", "measurement memo file reused across invocations", "");
     cli.add_option("run-dir", "run directory holding the crash-safe phase journal", "");
     cli.add_option("trace", "write a Chrome trace_event JSON of the run", "");
@@ -272,8 +308,13 @@ int cmd_profile(int argc, const char* const* argv) {
     cli.add_flag("no-timing", "omit the [timing] section (wall clock never repeats; "
                  "resumed and uninterrupted runs then diff byte-identical)");
     cli.add_flag("profile-counters", "embed deterministic counters in the profile");
-    if (!cli.parse(argc, argv)) return 1;
+}
 
+int cmd_profile(const CliParser& cli) {
+    if (cli.flag("resume") && cli.option("run-dir").empty()) {
+        std::fprintf(stderr, "--resume requires --run-dir (the journal to resume from)\n");
+        return kExitUsage;
+    }
     std::optional<Target> platform_target;
     if (!cli.option("platform").empty()) {
         PlatformError error;
@@ -286,38 +327,15 @@ int cmd_profile(int argc, const char* const* argv) {
         platform_target = make_sim_target(*spec);
     }
     std::optional<MeasureStack> stack = make_measure_stack(cli, std::move(platform_target));
-    if (!stack) return 1;
-    Platform* platform = stack->platform;
-    msg::Network* network = stack->network;
+    if (!stack) return kExitUsage;
 
-    std::optional<core::SuiteOptions> parsed_options = make_suite_options(cli);
-    if (!parsed_options) return 1;
-    core::SuiteOptions options = std::move(*parsed_options);
-    const std::optional<sim::MachineSpec>& cluster = stack->target.spec;
-    const bool is_cluster = cluster && cluster->topology.enabled();
-    if (is_cluster) {
-        // Cluster runs characterize communication only: the per-node
-        // substrate comes from the zoo, and the cache phases would scale
-        // with rank count. Skipping cache_size keeps the comm probe at its
-        // default message size, and the sampled pair set replaces the
-        // O(n^2) full scan.
-        options.run_cache_size = false;
-        options.comm.probe_pairs = core::cluster_probe_pairs(*cluster, options.comm);
-    }
+    core::SuiteOptions options = make_suite_options(cli);
+    const bool is_cluster = restrict_cluster_to_comm(stack->target, options);
     options.memo_path = cli.option("memo");
     options.run_dir = cli.option("run-dir");
     options.resume = cli.flag("resume");
-    if (options.resume && options.run_dir.empty()) {
-        std::fprintf(stderr, "--resume requires --run-dir (the journal to resume from)\n");
-        return 1;
-    }
     options.profile_counters = cli.flag("profile-counters");
-    const auto task_deadline = cli.option_double("task-deadline");
-    if (!task_deadline || *task_deadline < 0) {
-        std::fprintf(stderr, "--task-deadline must be a number >= 0\n");
-        return 1;
-    }
-    options.task_deadline = *task_deadline;
+    options.task_deadline = *cli.option_double("task-deadline");
 
     // Output paths may name directories that do not exist yet; creating
     // them here beats a suite run that measures for an hour and then
@@ -333,7 +351,7 @@ int cmd_profile(int argc, const char* const* argv) {
     if (!cli.option("trace").empty()) obs::tracer().set_enabled(true);
     core::SuiteResult result;
     try {
-        result = core::run_suite(*platform, network, options);
+        result = core::run_suite(*stack->platform, stack->network, options);
     } catch (const core::JournalError& e) {
         std::fprintf(stderr, "%s\n", e.what());
         return kExitIncompatibleJournal;
@@ -369,8 +387,8 @@ int cmd_profile(int argc, const char* const* argv) {
                     static_cast<unsigned long long>(result.memo_hits),
                     static_cast<unsigned long long>(result.memo_hits + result.memo_misses));
     core::Profile profile = result.to_profile(
-        platform->name(), platform->core_count(), platform->page_size());
-    if (is_cluster) core::annotate_cluster_profile(&profile, *cluster);
+        stack->platform->name(), stack->platform->core_count(), stack->platform->page_size());
+    if (is_cluster) core::annotate_cluster_profile(&profile, *stack->target.spec);
     if (cli.flag("no-timing")) profile.phase_seconds.clear();
 
     const std::string& path = cli.option("out");
@@ -393,19 +411,16 @@ int cmd_profile(int argc, const char* const* argv) {
     return export_failed ? kExitExportFailed : 0;
 }
 
-int cmd_report(int argc, const char* const* argv) {
-    CliParser cli("servet report: pretty-print a stored profile.");
+void report_options(CliParser& cli) {
     cli.add_option("profile", "profile file to read", "servet.profile");
     cli.add_flag("markdown", "emit the full markdown report");
     cli.add_flag("dot", "emit a Graphviz topology graph of the measured sharing groups");
     cli.add_flag("json", "emit the profile as JSON for external tooling");
-    if (!cli.parse(argc, argv)) return 1;
+}
 
-    const auto profile = core::Profile::load(cli.option("profile"));
-    if (!profile) {
-        std::fprintf(stderr, "cannot read %s\n", cli.option("profile").c_str());
-        return 1;
-    }
+int cmd_report(const CliParser& cli) {
+    const auto profile = load_profile(cli.option("profile"));
+    if (!profile) return 1;
     if (cli.flag("markdown")) {
         std::printf("%s", core::render_markdown(*profile).c_str());
         return 0;
@@ -473,20 +488,16 @@ int cmd_report(int argc, const char* const* argv) {
     return 0;
 }
 
-int cmd_tlb(int argc, const char* const* argv) {
-    CliParser cli("servet tlb: measure the data TLB (reach and walk cost).");
-    cli.add_option("machine", "target (see 'servet machines')", "native");
-    cli.add_option("l1", "known L1 size bounding the probe", "16KB");
-    if (!cli.parse(argc, argv)) return 1;
+void tlb_options(CliParser& cli) {
+    add_machine_option(cli, "native");
+    cli.add_bytes("l1", "known L1 size bounding the probe", "16KB");
+}
 
-    auto target = make_target(cli.option("machine"));
-    if (!target) {
-        std::fprintf(stderr, "unknown machine '%s'\n", cli.option("machine").c_str());
-        return 1;
-    }
+int cmd_tlb(const CliParser& cli) {
+    const Target target = make_target(cli);
     core::TlbDetectOptions options;
-    options.l1_size = parse_bytes(cli.option("l1")).value_or(16 * KiB);
-    const auto estimate = core::detect_tlb(*target->platform, options);
+    options.l1_size = static_cast<Bytes>(*cli.option_int("l1"));
+    const auto estimate = core::detect_tlb(*target.platform, options);
     if (!estimate) {
         std::printf("no TLB cost step detected within the probe range "
                     "(absent, cheap, or reach beyond L1-bounded probe)\n");
@@ -497,22 +508,18 @@ int cmd_tlb(int argc, const char* const* argv) {
     return 0;
 }
 
-int cmd_price(int argc, const char* const* argv) {
-    CliParser cli("servet price: cost a point-to-point message from a profile.");
+void price_options(CliParser& cli) {
     cli.add_option("profile", "profile file to read", "servet.profile");
-    cli.add_option("from", "source core", "0");
-    cli.add_option("to", "destination core", "1");
-    cli.add_option("size", "message size", "32KB");
-    if (!cli.parse(argc, argv)) return 1;
+    cli.add_int("from", "source core", "0", 0);
+    cli.add_int("to", "destination core", "1", 0);
+    cli.add_bytes("size", "message size", "32KB");
+}
 
-    const auto profile = core::Profile::load(cli.option("profile"));
-    if (!profile) {
-        std::fprintf(stderr, "cannot read %s\n", cli.option("profile").c_str());
-        return 1;
-    }
-    const CorePair pair{static_cast<CoreId>(cli.option_int("from").value_or(0)),
-                        static_cast<CoreId>(cli.option_int("to").value_or(1))};
-    const Bytes size = parse_bytes(cli.option("size")).value_or(32 * KiB);
+int cmd_price(const CliParser& cli) {
+    const auto profile = load_profile(cli.option("profile"));
+    if (!profile) return 1;
+    const CorePair pair{int_option(cli, "from"), int_option(cli, "to")};
+    const auto size = static_cast<Bytes>(*cli.option_int("size"));
     const auto latency = profile->comm_latency(pair, size);
     if (!latency) {
         std::fprintf(stderr, "pair (%d,%d) is not characterized in this profile\n", pair.a,
@@ -525,23 +532,21 @@ int cmd_price(int argc, const char* const* argv) {
     return 0;
 }
 
-int cmd_map(int argc, const char* const* argv) {
-    CliParser cli("servet map: place application ranks from a stored profile.");
+void map_options(CliParser& cli) {
     cli.add_option("profile", "profile file to read", "servet.profile");
-    cli.add_option("app", "pattern: stencil | ring | alltoall | random", "stencil");
-    cli.add_option("ranks", "number of ranks", "8");
-    cli.add_option("message", "message size pricing the edges", "32KB");
-    if (!cli.parse(argc, argv)) return 1;
+    cli.add_choice("app", "pattern: stencil | ring | alltoall | random", "stencil",
+                   {"stencil", "ring", "alltoall", "random"});
+    cli.add_int("ranks", "number of ranks", "8", 2);
+    cli.add_bytes("message", "message size pricing the edges", "32KB");
+}
 
-    const auto profile = core::Profile::load(cli.option("profile"));
-    if (!profile) {
-        std::fprintf(stderr, "cannot read %s\n", cli.option("profile").c_str());
-        return 1;
-    }
-    const int ranks = static_cast<int>(cli.option_int("ranks").value_or(8));
-    if (ranks < 2 || ranks > profile->cores) {
+int cmd_map(const CliParser& cli) {
+    const auto profile = load_profile(cli.option("profile"));
+    if (!profile) return 1;
+    const int ranks = int_option(cli, "ranks");
+    if (ranks > profile->cores) {
         std::fprintf(stderr, "ranks must be in [2, %d]\n", profile->cores);
-        return 1;
+        return kExitUsage;
     }
     autotune::CommGraph graph;
     const std::string& app = cli.option("app");
@@ -559,7 +564,7 @@ int cmd_map(int argc, const char* const* argv) {
     }
 
     autotune::MappingOptions options;
-    options.message_size = parse_bytes(cli.option("message")).value_or(32 * KiB);
+    options.message_size = static_cast<Bytes>(*cli.option_int("message"));
     const autotune::MappingResult result =
         autotune::map_processes(*profile, graph, options);
     std::printf("# rank -> core (objective %.3e, greedy seed %.3e)\n", result.cost,
@@ -569,26 +574,23 @@ int cmd_map(int argc, const char* const* argv) {
     return 0;
 }
 
-int cmd_broadcast(int argc, const char* const* argv) {
-    CliParser cli("servet broadcast: choose a collective algorithm from a profile.");
+void broadcast_options(CliParser& cli) {
     cli.add_option("profile", "profile file to read", "servet.profile");
-    cli.add_option("size", "payload size", "64KB");
-    cli.add_option("root", "root core", "0");
-    if (!cli.parse(argc, argv)) return 1;
+    cli.add_bytes("size", "payload size", "64KB");
+    cli.add_int("root", "root core", "0", 0);
+}
 
-    const auto profile = core::Profile::load(cli.option("profile"));
-    if (!profile) {
-        std::fprintf(stderr, "cannot read %s\n", cli.option("profile").c_str());
-        return 1;
-    }
+int cmd_broadcast(const CliParser& cli) {
+    const auto profile = load_profile(cli.option("profile"));
+    if (!profile) return 1;
     if (profile->cores < 2 || profile->comm.empty()) {
         std::fprintf(stderr, "profile carries no communication characterization\n");
         return 1;
     }
     std::vector<CoreId> cores;
     for (CoreId c = 0; c < profile->cores; ++c) cores.push_back(c);
-    const Bytes size = parse_bytes(cli.option("size")).value_or(64 * KiB);
-    const CoreId root = static_cast<CoreId>(cli.option_int("root").value_or(0));
+    const auto size = static_cast<Bytes>(*cli.option_int("size"));
+    const CoreId root = int_option(cli, "root");
 
     const auto choice = autotune::choose_broadcast(*profile, root, cores, size);
     std::printf("broadcast of %s from core %d over %d cores:\n",
@@ -599,34 +601,17 @@ int cmd_broadcast(int argc, const char* const* argv) {
     return 0;
 }
 
-int cmd_metrics(int argc, const char* const* argv) {
-    CliParser cli("servet metrics: run the suite and summarize the obs metrics registry.");
-    cli.add_option("machine", "target (see 'servet machines')", "dunnington");
-    cli.add_option("jobs", "concurrent measurement tasks (modeled machines only)", "1");
+void metrics_options(CliParser& cli) {
+    add_machine_option(cli, "dunnington");
+    add_suite_options(cli);
     cli.add_option("out", "also write the registry as JSON to this file", "");
-    cli.add_flag("fast", "fewer repeats, core-0 pairs only");
     cli.add_flag("stable-only", "restrict the table and the JSON export to Stable-class "
                  "metrics (diffable across runs)");
-    if (!cli.parse(argc, argv)) return 1;
+}
 
-    auto target = make_target(cli.option("machine"));
-    if (!target) {
-        std::fprintf(stderr, "unknown machine '%s'\n", cli.option("machine").c_str());
-        return 1;
-    }
-    core::SuiteOptions options;
-    if (cli.flag("fast")) {
-        options.mcalibrator.repeats = 2;
-        options.shared_cache.only_with_core = 0;
-        options.mem_overhead.only_with_core = 0;
-    }
-    const auto jobs = cli.option_int("jobs");
-    if (!jobs || *jobs < 1) {
-        std::fprintf(stderr, "--jobs must be an integer >= 1\n");
-        return 1;
-    }
-    options.jobs = static_cast<int>(*jobs);
-    (void)core::run_suite(*target->platform, target->network.get(), options);
+int cmd_metrics(const CliParser& cli) {
+    const Target target = make_target(cli);
+    (void)core::run_suite(*target.platform, target.network.get(), make_suite_options(cli));
 
     const bool stable_only = cli.flag("stable-only");
     TextTable table({"metric", "kind", "stability", "value"});
@@ -654,140 +639,77 @@ extern "C" void watch_signal_handler(int) {
     g_watch_stop.store(true, std::memory_order_relaxed);
 }
 
-int cmd_watch(int argc, const char* const* argv) {
-    CliParser cli("servet watch: continuously re-measure a fast subset of the suite, "
-                  "journal the samples as a time series under --run-dir, and judge "
-                  "each tick against a rolling baseline with stable drift codes "
-                  "(drift.none/.suspect/.confirmed). Confirmed drift exits 4; an "
-                  "incompatible existing series exits 2.");
-    cli.add_option("machine", "target (see 'servet machines')", "native");
-    cli.add_option("jobs", "concurrent measurement tasks (modeled machines only)", "1");
+void watch_options(CliParser& cli) {
+    add_machine_option(cli, "native");
+    add_suite_options(cli);
     cli.add_option("run-dir", "directory holding the series journal (required; an "
                    "existing compatible series resumes and seeds the baselines)", "");
-    cli.add_option("ticks", "new samples to measure in this invocation (0 = replay "
-                   "and re-judge the existing series without measuring)", "1");
-    cli.add_option("interval", "seconds to sleep between ticks (0 = back-to-back)", "0");
-    cli.add_option("perturb-tick", "inject the --faults plan from this global tick on "
-                   "(-1 = never; deterministic drift for tests and CI)", "-1");
+    cli.add_int("ticks", "new samples to measure in this invocation (0 = replay "
+                "and re-judge the existing series without measuring)", "1", 0);
+    cli.add_number("interval", "seconds to sleep between ticks (0 = back-to-back)", "0", 0);
+    cli.add_int("perturb-tick", "inject the --faults plan from this global tick on "
+                "(-1 = never; deterministic drift for tests and CI)", "-1", -1);
     cli.add_option("faults", "fault plan driving the perturbation: spike=P,factor=F,"
                    "delay=P,delay_factor=F,seed=N (see docs/robustness.md)", "");
     cli.add_option("series-json", "append one fingerprint-tagged JSON line of stable "
                    "metrics per tick to this file (fleet-aggregator feed)", "");
-    cli.add_option("push-port", "publish every committed tick to the 'servet serve' "
-                   "store listening on this port (0 = no publication; samples spool "
-                   "under <run-dir>/spool while the server is unreachable and drain "
-                   "in tick order once it answers again)", "0");
+    cli.add_int("push-port", "publish every committed tick to the 'servet serve' "
+                "store listening on this port (0 = no publication; samples spool "
+                "under <run-dir>/spool while the server is unreachable and drain "
+                "in tick order once it answers again)", "0", 0, 65535);
     cli.add_option("push-host", "profile-service address for --push-port", "127.0.0.1");
     cli.add_option("push-token", "shared-secret token for the push PUTs", "");
-    cli.add_option("push-timeout", "per-socket-operation timeout for push PUTs, "
-                   "seconds", "5");
-    cli.add_option("push-retries", "attempts per push PUT (capped exponential "
-                   "backoff, deterministic jitter)", "3");
-    cli.add_option("push-seed", "backoff-jitter seed for push retries", "23741");
+    cli.add_number("push-timeout", "per-socket-operation timeout for push PUTs, "
+                   "seconds", "5", 0, CliParser::Bound::Exclusive);
+    cli.add_int("push-retries", "attempts per push PUT (capped exponential "
+                "backoff, deterministic jitter)", "3", 1, 100);
+    cli.add_int("push-seed", "backoff-jitter seed for push retries", "23741");
     cli.add_flag("daemon", "run until SIGTERM/SIGINT: the signal finishes the "
                  "in-flight tick, commits and fsyncs its sample, and exits 0 with a "
                  "resumable journal (pair with a large --ticks budget)");
-    cli.add_flag("fast", "fewer repeats, core-0 pairs only");
     cli.add_flag("full", "re-measure every suite phase per tick instead of the fast "
                  "subset (cache sizes + comm costs)");
-    if (!cli.parse(argc, argv)) return 1;
+}
 
-    auto target = make_target(cli.option("machine"));
-    if (!target) {
-        std::fprintf(stderr, "unknown machine '%s'\n", cli.option("machine").c_str());
-        return 1;
-    }
+int cmd_watch(const CliParser& cli) {
     if (cli.option("run-dir").empty()) {
         std::fprintf(stderr, "--run-dir is required (the series journal lives there)\n");
-        return 1;
+        return kExitUsage;
     }
+    const std::optional<FaultPlan> faults = parse_faults(cli);
+    if (!faults) return kExitUsage;
+    if (int_option(cli, "perturb-tick") >= 0 && !faults->active()) {
+        std::fprintf(stderr, "--perturb-tick needs an active --faults plan\n");
+        return kExitUsage;
+    }
+    const Target target = make_target(cli);
 
     watch::WatchOptions options;
     options.run_dir = cli.option("run-dir");
-    if (cli.flag("fast")) {
-        options.suite.mcalibrator.repeats = 2;
-        options.suite.shared_cache.only_with_core = 0;
-        options.suite.mem_overhead.only_with_core = 0;
-    }
+    options.suite = make_suite_options(cli);
     // The designated fast subset: the mcalibrator curve + cache sizes
     // (cycle-level drift) and the comm probe (latency drift). The
     // multi-core contention phases are the expensive ones and move with
-    // the same underlying parameters — --full buys them back.
-    if (!cli.flag("full")) {
+    // the same underlying parameters — --full buys them back. Cluster
+    // watch mirrors cluster profile: comm-only, sampled pairs.
+    const bool is_cluster = restrict_cluster_to_comm(target, options.suite);
+    if (!cli.flag("full") || is_cluster) {
         options.suite.run_shared_cache = false;
         options.suite.run_mem_overhead = false;
     }
-    const std::optional<sim::MachineSpec>& cluster = target->spec;
-    if (cluster && cluster->topology.enabled()) {
-        // Cluster watch mirrors cluster profile: comm-only, sampled pairs.
-        options.suite.run_cache_size = false;
-        options.suite.run_shared_cache = false;
-        options.suite.run_mem_overhead = false;
-        options.suite.comm.probe_pairs =
-            core::cluster_probe_pairs(*cluster, options.suite.comm);
-    }
-    const auto jobs = cli.option_int("jobs");
-    if (!jobs || *jobs < 1) {
-        std::fprintf(stderr, "--jobs must be an integer >= 1\n");
-        return 1;
-    }
-    options.suite.jobs = static_cast<int>(*jobs);
-    const auto ticks = cli.option_int("ticks");
-    if (!ticks || *ticks < 0) {
-        std::fprintf(stderr, "--ticks must be an integer >= 0\n");
-        return 1;
-    }
-    options.ticks = static_cast<int>(*ticks);
-    const auto interval = cli.option_double("interval");
-    if (!interval || *interval < 0) {
-        std::fprintf(stderr, "--interval must be a number >= 0\n");
-        return 1;
-    }
-    options.interval_seconds = *interval;
-    options.perturb_tick =
-        static_cast<int>(cli.option_int("perturb-tick").value_or(-1));
-    if (!cli.option("faults").empty()) {
-        const std::optional<FaultPlan> faults = FaultPlan::parse(cli.option("faults"));
-        if (!faults) {
-            std::fprintf(stderr, "invalid --faults spec '%s'\n",
-                         cli.option("faults").c_str());
-            return 1;
-        }
-        options.perturb = *faults;
-    }
-    if (options.perturb_tick >= 0 && !options.perturb.active()) {
-        std::fprintf(stderr, "--perturb-tick needs an active --faults plan\n");
-        return 1;
-    }
+    options.ticks = int_option(cli, "ticks");
+    options.interval_seconds = *cli.option_double("interval");
+    options.perturb_tick = int_option(cli, "perturb-tick");
+    options.perturb = *faults;
     options.series_json = cli.option("series-json");
 
-    const auto push_port = cli.option_int("push-port");
-    if (!push_port || *push_port < 0 || *push_port > 65535) {
-        std::fprintf(stderr, "--push-port must be an integer in [0, 65535]\n");
-        return 1;
-    }
-    options.push.port = static_cast<int>(*push_port);
+    options.push.port = int_option(cli, "push-port");
     options.push.host = cli.option("push-host");
     options.push.token = cli.option("push-token");
-    const auto push_timeout = cli.option_double("push-timeout");
-    if (!push_timeout || *push_timeout <= 0) {
-        std::fprintf(stderr, "--push-timeout must be a number > 0\n");
-        return 1;
-    }
-    options.push.timeout_seconds = *push_timeout;
-    options.push.deadline_seconds = *push_timeout * 6;
-    const auto push_retries = cli.option_int("push-retries");
-    if (!push_retries || *push_retries < 1 || *push_retries > 100) {
-        std::fprintf(stderr, "--push-retries must be an integer in [1, 100]\n");
-        return 1;
-    }
-    options.push.attempts = static_cast<int>(*push_retries);
-    const auto push_seed = cli.option_int("push-seed");
-    if (!push_seed) {
-        std::fprintf(stderr, "--push-seed must be an integer\n");
-        return 1;
-    }
-    options.push.seed = static_cast<std::uint64_t>(*push_seed);
+    options.push.timeout_seconds = *cli.option_double("push-timeout");
+    options.push.deadline_seconds = options.push.timeout_seconds * 6;
+    options.push.attempts = int_option(cli, "push-retries");
+    options.push.seed = static_cast<std::uint64_t>(*cli.option_int("push-seed"));
 
     if (cli.flag("daemon")) {
         options.stop = &g_watch_stop;
@@ -799,18 +721,12 @@ int cmd_watch(int argc, const char* const* argv) {
 
     watch::WatchResult result;
     try {
-        result = watch::run_watch(*target->platform, target->network.get(), options);
+        result = watch::run_watch(*target.platform, target.network.get(), options);
     } catch (const core::JournalError& e) {
         std::fprintf(stderr, "%s\n", e.what());
         return kExitIncompatibleJournal;
     }
 
-    const auto fmt_value = [](double v) {
-        char buf[40];
-        if (std::isnan(v)) return std::string("absent");
-        std::snprintf(buf, sizeof buf, "%.6g", v);
-        return std::string(buf);
-    };
     for (const watch::TickReport& report : result.reports) {
         watch::Verdict tick_worst = watch::Verdict::None;
         for (const watch::MetricVerdict& v : report.verdicts)
@@ -818,13 +734,8 @@ int cmd_watch(int argc, const char* const* argv) {
         std::printf("tick %zu%s: %s (%zu metrics)\n", report.tick,
                     report.replayed ? " (replayed)" : "",
                     watch::verdict_code(tick_worst), report.verdicts.size());
-        for (const watch::MetricVerdict& v : report.verdicts) {
-            if (v.verdict == watch::Verdict::None) continue;
-            std::printf("  %-15s %-32s baseline %-12s current %-12s score %s\n",
-                        watch::verdict_code(v.verdict), v.metric.c_str(),
-                        fmt_value(v.baseline).c_str(), fmt_value(v.value).c_str(),
-                        std::isnan(v.score) ? "-" : fmt_value(v.score).c_str());
-        }
+        for (const watch::MetricVerdict& v : report.verdicts)
+            if (v.verdict != watch::Verdict::None) print_verdict("  ", v);
     }
     std::printf("watch: %zu tick(s) measured, %zu replayed, worst verdict %s%s\n",
                 result.measured, result.replayed, watch::verdict_code(result.worst),
@@ -835,9 +746,7 @@ int cmd_watch(int argc, const char* const* argv) {
     return result.worst == watch::Verdict::Confirmed ? kExitDrift : 0;
 }
 
-int cmd_validate(int argc, const char* const* argv) {
-    CliParser cli("servet validate: check a stored profile against the physical "
-                  "invariants every real machine satisfies.");
+void validate_options(CliParser& cli) {
     add_measurement_options(cli);
     cli.add_option("profile", "profile file to check", "servet.profile");
     cli.add_option("run-dir", "run directory holding the producing run's journal "
@@ -849,15 +758,17 @@ int cmd_validate(int argc, const char* const* argv) {
                  "journal and rewrite the profile (pass the same measurement flags as "
                  "the producing run)");
     cli.add_flag("no-timing", "omit the [timing] section from the repaired profile");
-    if (!cli.parse(argc, argv)) return 1;
+}
 
-    const std::string& path = cli.option("profile");
-    std::string diagnostic;
-    const std::optional<core::Profile> profile = core::Profile::load(path, &diagnostic);
-    if (!profile) {
-        std::fprintf(stderr, "%s\n", diagnostic.c_str());
-        return 1;
+int cmd_validate(const CliParser& cli) {
+    if (!cli.option("against").empty() && cli.flag("repair")) {
+        std::fprintf(stderr, "--against and --repair are mutually exclusive (diff "
+                     "first, then repair in a separate invocation)\n");
+        return kExitUsage;
     }
+    const std::string& path = cli.option("profile");
+    const std::optional<core::Profile> profile = load_profile(path);
+    if (!profile) return 1;
 
     const auto print_report = [](const core::ValidationReport& report) {
         for (const core::Violation& v : report.violations) {
@@ -874,40 +785,19 @@ int cmd_validate(int argc, const char* const* argv) {
     print_report(report);
 
     if (!cli.option("against").empty()) {
-        if (cli.flag("repair")) {
-            std::fprintf(stderr, "--against and --repair are mutually exclusive (diff "
-                         "first, then repair in a separate invocation)\n");
-            return 1;
-        }
         const std::string& baseline_path = cli.option("against");
-        std::string baseline_diagnostic;
-        const std::optional<core::Profile> baseline =
-            core::Profile::load(baseline_path, &baseline_diagnostic);
-        if (!baseline) {
-            std::fprintf(stderr, "%s\n", baseline_diagnostic.c_str());
-            return 1;
-        }
+        const std::optional<core::Profile> baseline = load_profile(baseline_path);
+        if (!baseline) return 1;
         if (baseline->machine != profile->machine)
             std::fprintf(stderr, "warning: diffing profiles of different machines "
                          "('%s' vs '%s'); every shift below may just be the hardware\n",
                          baseline->machine.c_str(), profile->machine.c_str());
 
-        const auto fmt_value = [](double v) {
-            char buf[40];
-            if (std::isnan(v)) return std::string("absent");
-            std::snprintf(buf, sizeof buf, "%.6g", v);
-            return std::string(buf);
-        };
         watch::Verdict worst = watch::Verdict::None;
-        std::size_t confirmed = 0;
         for (const watch::MetricVerdict& v :
              watch::diff_profiles(*baseline, *profile, watch::DriftOptions{})) {
             worst = watch::worse(worst, v.verdict);
-            if (v.verdict == watch::Verdict::Confirmed) ++confirmed;
-            std::printf("%-15s %-32s baseline %-12s current %-12s score %s\n",
-                        watch::verdict_code(v.verdict), v.metric.c_str(),
-                        fmt_value(v.baseline).c_str(), fmt_value(v.value).c_str(),
-                        std::isnan(v.score) ? "-" : fmt_value(v.score).c_str());
+            print_verdict("", v);
         }
         std::printf("diff against %s: %s\n", baseline_path.c_str(),
                     watch::verdict_code(worst));
@@ -934,24 +824,23 @@ int cmd_validate(int argc, const char* const* argv) {
     if (cli.option("run-dir").empty()) {
         std::fprintf(stderr, "--repair requires --run-dir (the producing run's journal "
                      "locates the phases to re-measure)\n");
-        return 1;
+        return kExitUsage;
     }
     std::optional<MeasureStack> stack = make_measure_stack(cli);
-    if (!stack) return 1;
-    std::optional<core::SuiteOptions> options = make_suite_options(cli);
-    if (!options) return 1;
-    options->run_dir = cli.option("run-dir");
-    options->resume = true;
-    options->remeasure = report.implicated_phases();
+    if (!stack) return kExitUsage;
+    core::SuiteOptions options = make_suite_options(cli);
+    options.run_dir = cli.option("run-dir");
+    options.resume = true;
+    options.remeasure = report.implicated_phases();
 
     std::string phases;
-    for (const std::string& phase : options->remeasure)
+    for (const std::string& phase : options.remeasure)
         phases += (phases.empty() ? "" : ", ") + phase;
     std::printf("repair: re-measuring %s\n", phases.c_str());
 
     core::SuiteResult result;
     try {
-        result = core::run_suite(*stack->platform, stack->network, *options);
+        result = core::run_suite(*stack->platform, stack->network, options);
     } catch (const core::JournalError& e) {
         std::fprintf(stderr, "%s\n", e.what());
         return kExitIncompatibleJournal;
@@ -989,62 +878,33 @@ extern "C" void serve_signal_handler(int) {
     if (g_serve_server != nullptr) g_serve_server->request_stop();
 }
 
-int cmd_serve(int argc, const char* const* argv) {
-    CliParser cli("servet serve: long-running profile service. Stores profiles "
-                  "content-addressed by machine fingerprint and suite options hash, "
-                  "serves them over minimal HTTP/1.1 with conditional GET "
-                  "(If-None-Match -> 304). SIGTERM/SIGINT drain in-flight requests "
-                  "and exit 0. Protocol and store layout: docs/serve.md.");
+void serve_options(CliParser& cli) {
     cli.add_option("store-dir", "directory holding the profile store", "servet-store");
     cli.add_option("bind", "IPv4 address to bind", "127.0.0.1");
-    cli.add_option("port", "TCP port (0 = ephemeral; see --port-file)", "0");
-    cli.add_option("threads", "worker threads answering requests", "2");
-    cli.add_option("cache", "hot profiles kept in the in-memory LRU", "256");
+    cli.add_int("port", "TCP port (0 = ephemeral; see --port-file)", "0", 0, 65535);
+    cli.add_int("threads", "worker threads answering requests", "2", 1, 64);
+    cli.add_int("cache", "hot profiles kept in the in-memory LRU", "256", 0);
     cli.add_option("port-file", "write the bound port to this file once listening "
                    "(how scripts find an ephemeral port)", "");
     cli.add_option("token", "require 'authorization: Bearer <token>' on every "
                    "request except /healthz (compared in constant time)", "");
-    cli.add_option("idle-timeout", "seconds a connection may sit idle before the "
+    cli.add_number("idle-timeout", "seconds a connection may sit idle before the "
                    "server closes it — the slow-loris defense (0 = never reap)",
-                   "30");
-    cli.add_option("max-connections", "open-connection cap; excess connections are "
-                   "shed with 503 + retry-after", "1024");
-    if (!cli.parse(argc, argv)) return 1;
+                   "30", 0);
+    cli.add_int("max-connections", "open-connection cap; excess connections are "
+                "shed with 503 + retry-after", "1024", 1);
+}
 
+int cmd_serve(const CliParser& cli) {
     serve::ServeOptions options;
     options.store_dir = cli.option("store-dir");
     options.bind_address = cli.option("bind");
-    const auto port = cli.option_int("port");
-    if (!port || *port < 0 || *port > 65535) {
-        std::fprintf(stderr, "--port must be an integer in [0, 65535]\n");
-        return 2;
-    }
-    options.port = static_cast<std::uint16_t>(*port);
-    const auto threads = cli.option_int("threads");
-    if (!threads || *threads < 1 || *threads > 64) {
-        std::fprintf(stderr, "--threads must be an integer in [1, 64]\n");
-        return 2;
-    }
-    options.threads = static_cast<int>(*threads);
-    const auto cache = cli.option_int("cache");
-    if (!cache || *cache < 0) {
-        std::fprintf(stderr, "--cache must be an integer >= 0\n");
-        return 2;
-    }
-    options.cache_entries = static_cast<std::size_t>(*cache);
+    options.port = static_cast<std::uint16_t>(int_option(cli, "port"));
+    options.threads = int_option(cli, "threads");
+    options.cache_entries = static_cast<std::size_t>(*cli.option_int("cache"));
     options.token = cli.option("token");
-    const auto idle_timeout = cli.option_double("idle-timeout");
-    if (!idle_timeout || *idle_timeout < 0) {
-        std::fprintf(stderr, "--idle-timeout must be a number >= 0\n");
-        return 2;
-    }
-    options.idle_timeout_seconds = *idle_timeout;
-    const auto max_connections = cli.option_int("max-connections");
-    if (!max_connections || *max_connections < 1) {
-        std::fprintf(stderr, "--max-connections must be an integer >= 1\n");
-        return 2;
-    }
-    options.max_connections = static_cast<std::size_t>(*max_connections);
+    options.idle_timeout_seconds = *cli.option_double("idle-timeout");
+    options.max_connections = static_cast<std::size_t>(*cli.option_int("max-connections"));
 
     serve::ServeServer server(options);
     std::string error;
@@ -1078,114 +938,63 @@ int cmd_serve(int argc, const char* const* argv) {
     return 0;
 }
 
-int cmd_tune(int argc, const char* const* argv) {
-    CliParser cli("servet tune: search a tunable kernel's configuration space and "
-                  "report the best config. Strategies: exhaustive walks the space in "
-                  "enumeration order, random walks a seeded shuffle, guided ranks "
-                  "candidates by the profile's analytic cost model before spending "
-                  "the measurement budget. Candidate order is fixed before any "
-                  "evaluation runs, so --trace output is byte-identical across "
-                  "--jobs values. See docs/autotune.md.");
-    cli.add_option("machine", "target (see 'servet machines')", "dempsey");
-    cli.add_option("kernel", "tunable kernel: stencil | transpose | reduction | spmv",
-                   "stencil");
-    cli.add_option("strategy", "search order: exhaustive | random | guided", "guided");
-    cli.add_option("budget", "measured evaluations to spend (0 = the whole space)", "0");
-    cli.add_option("seed", "random-strategy shuffle seed", "24301");
-    cli.add_option("jobs", "concurrent measured evaluations (modeled machines only)",
-                   "1");
+void tune_options(CliParser& cli) {
+    add_machine_option(cli, "dempsey");
+    cli.add_choice("kernel", "tunable kernel: stencil | transpose | reduction | spmv",
+                   "stencil", autotune::kernels::kernel_names());
+    cli.add_choice("strategy", "search order: exhaustive | random | guided", "guided",
+                   {"exhaustive", "random", "guided"});
+    cli.add_int("budget", "measured evaluations to spend (0 = the whole space)", "0", 0);
+    cli.add_int("seed", "random-strategy shuffle seed", "24301", 0);
+    cli.add_int("jobs", "concurrent measured evaluations (modeled machines only)", "1", 1);
     cli.add_option("profile", "stored profile supplying the analytic priors (default: "
                    "measure the target's profile in-process first)", "");
     cli.add_option("trace", "write the search trace JSON to this file", "");
-    if (!cli.parse(argc, argv)) return 1;
+}
 
-    const auto strategy = autotune::search::parse_strategy(cli.option("strategy"));
-    if (!strategy) {
-        std::fprintf(stderr, "unknown strategy '%s' (expected exhaustive, random, or "
-                     "guided)\n", cli.option("strategy").c_str());
-        return 2;
-    }
-    const auto budget = cli.option_int("budget");
-    if (!budget || *budget < 0) {
-        std::fprintf(stderr, "--budget must be an integer >= 0\n");
-        return 2;
-    }
-    const auto seed = cli.option_int("seed");
-    if (!seed || *seed < 0) {
-        std::fprintf(stderr, "--seed must be an integer >= 0\n");
-        return 2;
-    }
-    const auto jobs = cli.option_int("jobs");
-    if (!jobs || *jobs < 1) {
-        std::fprintf(stderr, "--jobs must be an integer >= 1\n");
-        return 2;
-    }
-    auto target = make_target(cli.option("machine"));
-    if (!target) {
-        std::fprintf(stderr, "unknown machine '%s'\n", cli.option("machine").c_str());
-        return 2;
-    }
-
-    // Reject a bad kernel name before the (possibly in-process-measured)
-    // profile is acquired: the registry knows the names without one.
-    const auto known_kernels = autotune::kernels::kernel_names();
-    if (std::find(known_kernels.begin(), known_kernels.end(), cli.option("kernel")) ==
-        known_kernels.end()) {
-        std::string names;
-        for (const std::string& name : known_kernels)
-            names += (names.empty() ? "" : ", ") + name;
-        std::fprintf(stderr, "unknown kernel '%s' (expected one of: %s)\n",
-                     cli.option("kernel").c_str(), names.c_str());
-        return 2;
-    }
-
+int cmd_tune(const CliParser& cli) {
+    const Target target = make_target(cli);
     // The analytic prior the guided strategy ranks by: a stored profile
     // when given, otherwise the target's own — measured in-process (fast
     // on the modeled machines this command is built for).
     core::Profile profile;
     if (!cli.option("profile").empty()) {
-        std::string diagnostic;
-        const auto loaded = core::Profile::load(cli.option("profile"), &diagnostic);
-        if (!loaded) {
-            std::fprintf(stderr, "%s\n", diagnostic.c_str());
-            return 2;
-        }
+        const auto loaded = load_profile(cli.option("profile"));
+        if (!loaded) return kExitUsage;
         profile = *loaded;
     } else {
         // The prior only needs the rough shape (cache sizes, the
         // scalability curve), so the fast suite configuration suffices.
         core::SuiteOptions suite_options;
-        suite_options.mcalibrator.repeats = 2;
-        suite_options.shared_cache.only_with_core = 0;
-        suite_options.mem_overhead.only_with_core = 0;
+        apply_fast_preset(suite_options);
         const auto result =
-            core::run_suite(*target->platform, target->network.get(), suite_options);
-        profile = result.to_profile(target->platform->name(),
-                                    target->platform->core_count(),
-                                    target->platform->page_size());
+            core::run_suite(*target.platform, target.network.get(), suite_options);
+        profile = result.to_profile(target.platform->name(), target.platform->core_count(),
+                                    target.platform->page_size());
     }
 
     const auto kernel = autotune::kernels::make_kernel(
-        cli.option("kernel"), profile, target->platform->core_count());
+        cli.option("kernel"), profile, target.platform->core_count());
     if (!kernel) {
         // Name already validated: only a profile unfit for this kernel
         // (e.g. no cache levels detected) lands here.
         std::fprintf(stderr, "kernel '%s' cannot be built from this profile\n",
                      cli.option("kernel").c_str());
-        return 2;
+        return kExitUsage;
     }
 
     // Same pool shape as the suite: the calling thread participates, so
     // --jobs N means N-1 workers.
+    const int jobs = int_option(cli, "jobs");
     std::unique_ptr<exec::ThreadPool> pool;
-    if (*jobs > 1) pool = std::make_unique<exec::ThreadPool>(static_cast<int>(*jobs) - 1);
-    core::MeasureEngine engine(target->platform.get(), target->network.get(), pool.get(),
+    if (jobs > 1) pool = std::make_unique<exec::ThreadPool>(jobs - 1);
+    core::MeasureEngine engine(target.platform.get(), target.network.get(), pool.get(),
                                nullptr);
 
     autotune::search::SearchOptions options;
-    options.strategy = *strategy;
-    options.budget = static_cast<std::size_t>(*budget);
-    options.seed = static_cast<std::uint64_t>(*seed);
+    options.strategy = *autotune::search::parse_strategy(cli.option("strategy"));
+    options.budget = static_cast<std::size_t>(*cli.option_int("budget"));
+    options.seed = static_cast<std::uint64_t>(*cli.option_int("seed"));
     options.engine = &engine;
     const auto result = autotune::search::run_search(*kernel, options);
     if (!result) {
@@ -1196,7 +1005,7 @@ int cmd_tune(int argc, const char* const* argv) {
 
     std::printf("tune: %s on %s, strategy %s, space %zu, %zu evaluation(s)\n",
                 kernel->name().c_str(), cli.option("machine").c_str(),
-                std::string(autotune::search::strategy_name(*strategy)).c_str(),
+                std::string(autotune::search::strategy_name(options.strategy)).c_str(),
                 result->space_size, result->evals);
     std::printf("best %s: cost %.6g, first reached at evaluation %zu\n",
                 result->best.key().c_str(), result->best_cost, result->evals_to_best);
@@ -1210,42 +1019,31 @@ int cmd_tune(int argc, const char* const* argv) {
     return 0;
 }
 
-int cmd_fetch(int argc, const char* const* argv) {
-    CliParser cli("servet fetch: download a profile from a running servet serve "
-                  "store. Conditional: when --out already holds a profile and its "
-                  ".etag sidecar exists, the request carries If-None-Match and an "
-                  "unchanged profile answers 304 without a body (the stored file is "
-                  "kept). The body is validated as a profile before it replaces "
-                  "--out.");
+void fetch_options(CliParser& cli) {
     cli.add_option("host", "server IPv4 address", "127.0.0.1");
-    cli.add_option("port", "server TCP port", "0");
+    cli.add_int("port", "server TCP port", "0", 0, 65535);
     cli.add_option("fingerprint", "machine fingerprint key (16 lowercase hex digits)",
                    "");
     cli.add_option("options", "suite options hash qualifying the profile (16 lowercase "
                    "hex digits; empty = the store's default entry)", "");
     cli.add_option("out", "profile file to write", "servet.profile");
-    cli.add_option("timeout", "per-socket-operation timeout in seconds (connect "
-                   "included)", "10");
-    cli.add_option("deadline", "overall wall-clock cap in seconds — attempts, "
-                   "backoffs and trickled bytes included (0 = 6x timeout)", "0");
-    cli.add_option("retries", "total attempts for transient transport failures "
-                   "(capped exponential backoff, deterministic jitter)", "3");
-    cli.add_option("retry-seed", "backoff-jitter seed (same seed, same trace)",
-                   "23741");
+    cli.add_number("timeout", "per-socket-operation timeout in seconds (connect "
+                   "included)", "10", 0, CliParser::Bound::Exclusive);
+    cli.add_number("deadline", "overall wall-clock cap in seconds — attempts, "
+                   "backoffs and trickled bytes included (0 = 6x timeout)", "0", 0);
+    cli.add_int("retries", "total attempts for transient transport failures "
+                "(capped exponential backoff, deterministic jitter)", "3", 1, 100);
+    cli.add_int("retry-seed", "backoff-jitter seed (same seed, same trace)", "23741");
     cli.add_option("token", "shared-secret auth token (sent as authorization: "
                    "Bearer)", "");
     cli.add_flag("trace", "print the deterministic per-attempt retry trace");
-    if (!cli.parse(argc, argv)) return 1;
+}
 
-    const auto port = cli.option_int("port");
-    if (!port || *port < 1 || *port > 65535) {
-        std::fprintf(stderr, "--port must be an integer in [1, 65535]\n");
-        return 2;
-    }
-    if (cli.option("fingerprint").empty()) {
-        std::fprintf(stderr, "--fingerprint is required (see 'servet serve' / "
+int cmd_fetch(const CliParser& cli) {
+    if (int_option(cli, "port") == 0 || cli.option("fingerprint").empty()) {
+        std::fprintf(stderr, "--port and --fingerprint are required (see 'servet serve' / "
                      "docs/serve.md for the key format)\n");
-        return 2;
+        return kExitUsage;
     }
 
     const std::string out = cli.option("out");
@@ -1253,33 +1051,13 @@ int cmd_fetch(int argc, const char* const* argv) {
 
     serve::FetchOptions options;
     options.host = cli.option("host");
-    options.port = static_cast<int>(*port);
+    options.port = int_option(cli, "port");
     options.path = "/v1/profile/" + cli.option("fingerprint");
     if (!cli.option("options").empty()) options.path += "/" + cli.option("options");
-    const auto timeout = cli.option_double("timeout");
-    if (!timeout || *timeout <= 0) {
-        std::fprintf(stderr, "--timeout must be a number > 0\n");
-        return 2;
-    }
-    options.timeout_seconds = *timeout;
-    const auto deadline = cli.option_double("deadline");
-    if (!deadline || *deadline < 0) {
-        std::fprintf(stderr, "--deadline must be a number >= 0\n");
-        return 2;
-    }
-    options.deadline_seconds = *deadline;
-    const auto retries = cli.option_int("retries");
-    if (!retries || *retries < 1 || *retries > 100) {
-        std::fprintf(stderr, "--retries must be an integer in [1, 100]\n");
-        return 2;
-    }
-    options.retry.max_attempts = static_cast<int>(*retries);
-    const auto retry_seed = cli.option_int("retry-seed");
-    if (!retry_seed) {
-        std::fprintf(stderr, "--retry-seed must be an integer\n");
-        return 2;
-    }
-    options.retry.seed = static_cast<std::uint64_t>(*retry_seed);
+    options.timeout_seconds = *cli.option_double("timeout");
+    options.deadline_seconds = *cli.option_double("deadline");
+    options.retry.max_attempts = int_option(cli, "retries");
+    options.retry.seed = static_cast<std::uint64_t>(*cli.option_int("retry-seed"));
     options.token = cli.option("token");
 
     // A 304 is only useful when the previous body is still on disk, so the
@@ -1337,55 +1115,82 @@ int cmd_fetch(int argc, const char* const* argv) {
     return 0;
 }
 
+/// One row per subcommand. `summary` is its line in `servet --help`;
+/// `servet <name> --help` opens with the summary and then `details`. main()
+/// parses the declared options before `run` sees them, so every command
+/// shares one exit policy: `--help` exits 0, an invalid invocation exits 2.
+struct Command {
+    const char* name;
+    const char* summary;
+    const char* details;
+    void (*declare)(CliParser&);
+    int (*run)(const CliParser&);
+};
+
+const Command kCommands[] = {
+    {"machines", "list available measurement targets", "", [](CliParser&) {}, cmd_machines},
+    {"profile", "run the full suite and store the profile file", "", profile_options,
+     cmd_profile},
+    {"report", "pretty-print a stored profile", "", report_options, cmd_report},
+    {"tlb", "measure the data TLB", "Reports its reach and walk cost.", tlb_options, cmd_tlb},
+    {"price", "cost a message between two cores from a profile", "", price_options,
+     cmd_price},
+    {"map", "place application ranks using a profile", "", map_options, cmd_map},
+    {"broadcast", "choose a collective algorithm from a profile", "", broadcast_options,
+     cmd_broadcast},
+    {"metrics", "run the suite and summarize the obs metrics registry", "", metrics_options,
+     cmd_metrics},
+    {"watch", "re-measure a fast subset periodically and judge drift against a rolling "
+     "baseline",
+     "The samples are journaled as a time series under --run-dir and each tick is judged "
+     "with stable drift codes (drift.none/.suspect/.confirmed). Confirmed drift exits 4; "
+     "an incompatible existing series exits 2.", watch_options, cmd_watch},
+    {"validate", "check a profile against physical invariants (--repair re-measures, "
+     "--against diffs two profiles)", "", validate_options, cmd_validate},
+    {"serve", "long-running profile service over HTTP (content-addressed store, "
+     "conditional GET)",
+     "Stores profiles content-addressed by machine fingerprint and suite options hash, "
+     "serves them over minimal HTTP/1.1 with conditional GET (If-None-Match -> 304). "
+     "SIGTERM/SIGINT drain in-flight requests and exit 0. Protocol and store layout: "
+     "docs/serve.md.", serve_options, cmd_serve},
+    {"fetch", "download a profile from a serve store (conditional GET via a stored ETag)",
+     "When --out already holds a profile and its .etag sidecar exists, the request "
+     "carries If-None-Match and an unchanged profile answers 304 without a body (the "
+     "stored file is kept). The body is validated as a profile before it replaces "
+     "--out.", fetch_options, cmd_fetch},
+    {"tune", "search a tunable kernel's configuration space (exhaustive | random | guided)",
+     "Strategies: exhaustive walks the space in enumeration order, random walks a seeded "
+     "shuffle, guided ranks candidates by the profile's analytic cost model before "
+     "spending the measurement budget. Candidate order is fixed before any evaluation "
+     "runs, so --trace output is byte-identical across --jobs values. See "
+     "docs/autotune.md.", tune_options, cmd_tune},
+};
+
 void usage() {
-    std::fprintf(stderr,
-                 "servet — measure multicore hardware parameters for autotuning\n\n"
-                 "usage: servet <command> [options]\n\n"
-                 "commands:\n"
-                 "  machines   list available measurement targets\n"
-                 "  profile    run the full suite and store the profile file\n"
-                 "  report     pretty-print a stored profile\n"
-                 "  tlb        measure the data TLB\n"
-                 "  price      cost a message between two cores from a profile\n"
-                 "  map        place application ranks using a profile\n"
-                 "  broadcast  choose a collective algorithm from a profile\n"
-                 "  metrics    run the suite and summarize the obs metrics registry\n"
-                 "  watch      re-measure a fast subset periodically and judge drift "
-                 "against a rolling baseline\n"
-                 "  validate   check a profile against physical invariants "
-                 "(--repair re-measures, --against diffs two profiles)\n"
-                 "  serve      long-running profile service over HTTP "
-                 "(content-addressed store, conditional GET)\n"
-                 "  fetch      download a profile from a serve store "
-                 "(conditional GET via a stored ETag)\n"
-                 "  tune       search a tunable kernel's configuration space "
-                 "(exhaustive | random | guided)\n\n"
-                 "run 'servet <command> --help' for per-command options.\n");
+    std::fprintf(stderr, "servet — measure multicore hardware parameters for autotuning\n\n"
+                         "usage: servet <command> [options]\n\ncommands:\n");
+    for (const Command& command : kCommands)
+        std::fprintf(stderr, "  %-10s %s\n", command.name, command.summary);
+    std::fprintf(stderr, "\nrun 'servet <command> --help' for per-command options.\n");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-    if (argc < 2) {
-        usage();
-        return 1;
+    const std::string_view name = argc < 2 ? "" : argv[1];
+    for (const Command& command : kCommands) {
+        if (name != command.name) continue;
+        CliParser cli(strf("servet %s: %s.%s%s", command.name, command.summary,
+                           *command.details ? " " : "", command.details));
+        command.declare(cli);
+        if (!cli.parse(argc - 1, argv + 1)) return cli.flag("help") ? 0 : kExitUsage;
+        if (!cli.positional().empty()) {
+            std::fprintf(stderr, "%s: unexpected argument '%s' (see --help)\n", command.name,
+                         cli.positional()[0].c_str());
+            return kExitUsage;
+        }
+        return command.run(cli);
     }
-    const std::string command = argv[1];
-    const int sub_argc = argc - 1;
-    const char* const* sub_argv = argv + 1;
-    if (command == "machines") return cmd_machines();
-    if (command == "profile") return cmd_profile(sub_argc, sub_argv);
-    if (command == "report") return cmd_report(sub_argc, sub_argv);
-    if (command == "tlb") return cmd_tlb(sub_argc, sub_argv);
-    if (command == "price") return cmd_price(sub_argc, sub_argv);
-    if (command == "map") return cmd_map(sub_argc, sub_argv);
-    if (command == "broadcast") return cmd_broadcast(sub_argc, sub_argv);
-    if (command == "metrics") return cmd_metrics(sub_argc, sub_argv);
-    if (command == "watch") return cmd_watch(sub_argc, sub_argv);
-    if (command == "validate") return cmd_validate(sub_argc, sub_argv);
-    if (command == "serve") return cmd_serve(sub_argc, sub_argv);
-    if (command == "fetch") return cmd_fetch(sub_argc, sub_argv);
-    if (command == "tune") return cmd_tune(sub_argc, sub_argv);
     usage();
-    return command == "--help" || command == "help" ? 0 : 1;
+    return name == "--help" || name == "help" ? 0 : kExitUsage;
 }
