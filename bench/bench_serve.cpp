@@ -22,6 +22,7 @@
 #include <string>
 
 #include "base/cli.hpp"
+#include "base/text.hpp"
 #include "core/profile.hpp"
 #include "serve/server.hpp"
 
@@ -101,9 +102,13 @@ bool exchange(int fd, const std::string& request, std::string* response) {
     const std::size_t head_end = response->find("\r\n\r\n") + 4;
     std::size_t body = 0;
     const std::size_t cl = response->find("content-length: ");
-    if (cl != std::string::npos && cl < head_end)
-        body = static_cast<std::size_t>(
-            std::strtoul(response->c_str() + cl + 16, nullptr, 10));
+    if (cl != std::string::npos && cl < head_end) {
+        const std::size_t value = cl + 16;
+        const auto length = parse_int<std::size_t>(
+            std::string_view(*response).substr(value, response->find('\r', value) - value));
+        if (!length) return false;
+        body = *length;
+    }
     const std::size_t have = response->size() - head_end;
     return have >= body || recv_exact(fd, body - have, response);
 }

@@ -7,9 +7,8 @@
 #include "bench_util.hpp"
 
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 
+#include "base/cli.hpp"
 #include "base/table.hpp"
 #include "core/suite.hpp"
 #include "msg/sim_network.hpp"
@@ -39,18 +38,15 @@ int main(int argc, char** argv) {
     // --jobs N parallelizes the measurement engine; the phase rows then
     // report summed task time while the wall row shows the actual elapsed
     // time, which is the serial-vs-parallel comparison worth recording.
-    int jobs = 1;
-    const char* trace_path = nullptr;
-    const char* metrics_path = nullptr;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-            jobs = std::atoi(argv[i + 1]);
-        if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) trace_path = argv[i + 1];
-        if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc)
-            metrics_path = argv[i + 1];
-    }
-    if (jobs < 1) jobs = 1;
-    if (trace_path != nullptr) obs::tracer().set_enabled(true);
+    CliParser cli("bench_table1_exectimes: Table I, execution time of each suite phase.");
+    cli.add_int("jobs", "concurrent measurement tasks", "1", 1);
+    cli.add_option("trace", "write a Chrome trace JSON to this file", "");
+    cli.add_option("metrics", "write the metrics JSON to this file", "");
+    if (!cli.parse(argc, argv)) return 2;
+    const int jobs = static_cast<int>(*cli.option_int("jobs"));
+    const std::string& trace_path = cli.option("trace");
+    const std::string& metrics_path = cli.option("metrics");
+    if (!trace_path.empty()) obs::tracer().set_enabled(true);
 
     const auto wall_start = std::chrono::steady_clock::now();
     const auto dunnington = run_machine(sim::zoo::dunnington(), jobs);
@@ -88,20 +84,20 @@ int main(int argc, char** argv) {
         "property is that cost scales with probe count, and that the suite runs\n"
         "once at installation time so absolute cost is unimportant (Section IV-E).");
 
-    if (trace_path != nullptr) {
+    if (!trace_path.empty()) {
         obs::tracer().set_enabled(false);
         if (!obs::tracer().write_chrome_trace(trace_path)) {
-            std::fprintf(stderr, "cannot write %s\n", trace_path);
+            std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
             return 1;
         }
-        std::printf("trace written to %s\n", trace_path);
+        std::printf("trace written to %s\n", trace_path.c_str());
     }
-    if (metrics_path != nullptr) {
+    if (!metrics_path.empty()) {
         if (!obs::write_metrics_json(metrics_path)) {
-            std::fprintf(stderr, "cannot write %s\n", metrics_path);
+            std::fprintf(stderr, "cannot write %s\n", metrics_path.c_str());
             return 1;
         }
-        std::printf("metrics written to %s\n", metrics_path);
+        std::printf("metrics written to %s\n", metrics_path.c_str());
     }
     return 0;
 }

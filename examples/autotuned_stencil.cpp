@@ -50,19 +50,18 @@ Seconds measure_exchange(msg::Network& network, const autotune::CommGraph& graph
 
 int main(int argc, char** argv) {
     CliParser cli("Servet autotuned stencil: configure a mini-app from one profile.");
-    cli.add_option("machine", examples::kMachineHelp, "dunnington");
+    examples::add_machine_option(cli);
     cli.add_int("ranks", "application ranks", "12", 2);
     cli.add_bytes("halo", "halo message size", "32KB");
     if (!cli.parse(argc, argv)) return 1;
 
-    auto target = examples::make_target(cli.option("machine"));
-    if (!target || !target->network) {
-        std::fprintf(stderr, "need a multicore machine (choose: %s)\n",
-                     examples::kMachineHelp);
+    const examples::Target target = examples::make_target(cli.option("machine"));
+    if (!target.network) {
+        std::fprintf(stderr, "need a multicore machine\n");
         return 1;
     }
-    Platform& platform = *target->platform;
-    msg::Network& network = *target->network;
+    Platform& platform = *target.platform;
+    msg::Network& network = *target.network;
 
     std::printf("== measuring %s once (install-time profile) ==\n",
                 platform.name().c_str());

@@ -2,10 +2,13 @@
 // (any zoo model, or the real host via the native backend).
 #pragma once
 
+#include <algorithm>
 #include <memory>
-#include <optional>
 #include <string>
+#include <vector>
 
+#include "base/check.hpp"
+#include "base/cli.hpp"
 #include "msg/network.hpp"
 #include "msg/sim_network.hpp"
 #include "msg/thread_network.hpp"
@@ -21,10 +24,17 @@ struct Target {
     std::unique_ptr<msg::Network> network;
 };
 
-/// Build the platform + network for `name`: one of "dunnington",
-/// "finis-terrae", "finis-terrae-2n", "dempsey", "athlon3200", or
-/// "native" (measure this host). Returns nullopt for unknown names.
-inline std::optional<Target> make_target(const std::string& name) {
+/// `--machine`: "native" (measure this host) or any model of the zoo
+/// catalog; parse() refuses every other name.
+inline void add_machine_option(CliParser& cli) {
+    std::vector<std::string> names{"native"};
+    for (const sim::zoo::Entry& entry : sim::zoo::catalog()) names.emplace_back(entry.name);
+    cli.add_choice("machine", "target (see 'servet machines')", "dunnington", std::move(names));
+}
+
+/// The platform + network for a name add_machine_option accepted. Only a
+/// multicore target gets a network.
+inline Target make_target(const std::string& name) {
     Target target;
     if (name == "native") {
         auto platform = std::make_unique<NativePlatform>();
@@ -32,20 +42,15 @@ inline std::optional<Target> make_target(const std::string& name) {
         target.platform = std::move(platform);
         return target;
     }
-    std::optional<sim::MachineSpec> spec;
-    if (name == "dunnington") spec = sim::zoo::dunnington();
-    if (name == "finis-terrae") spec = sim::zoo::finis_terrae();
-    if (name == "finis-terrae-2n") spec = sim::zoo::finis_terrae(2);
-    if (name == "dempsey") spec = sim::zoo::dempsey();
-    if (name == "athlon3200") spec = sim::zoo::athlon3200();
-    if (!spec) return std::nullopt;
-    auto platform = std::make_unique<SimPlatform>(*spec);
-    if (spec->n_cores > 1) target.network = std::make_unique<msg::SimNetwork>(platform->spec());
+    const auto catalog = sim::zoo::catalog();
+    const auto entry = std::find_if(catalog.begin(), catalog.end(),
+                                    [&](const sim::zoo::Entry& e) { return name == e.name; });
+    SERVET_CHECK_MSG(entry != catalog.end(), "machine name was not checked by the CLI");
+    auto platform = std::make_unique<SimPlatform>(entry->build());
+    if (platform->spec().n_cores > 1)
+        target.network = std::make_unique<msg::SimNetwork>(platform->spec());
     target.platform = std::move(platform);
     return target;
 }
-
-inline constexpr const char* kMachineHelp =
-    "dunnington | finis-terrae | finis-terrae-2n | dempsey | athlon3200 | native";
 
 }  // namespace servet::examples

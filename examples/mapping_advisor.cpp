@@ -27,16 +27,12 @@ core::Profile obtain_profile(const std::string& machine, const std::string& prof
         if (auto loaded = core::Profile::load(profile_path)) return *loaded;
         std::fprintf(stderr, "could not load %s; measuring instead\n", profile_path.c_str());
     }
-    auto target = examples::make_target(machine);
-    if (!target) {
-        std::fprintf(stderr, "unknown machine '%s'\n", machine.c_str());
-        std::exit(1);
-    }
+    const examples::Target target = examples::make_target(machine);
     core::SuiteOptions options;
     const core::SuiteResult result =
-        core::run_suite(*target->platform, target->network.get(), options);
-    return result.to_profile(target->platform->name(), target->platform->core_count(),
-                             target->platform->page_size());
+        core::run_suite(*target.platform, target.network.get(), options);
+    return result.to_profile(target.platform->name(), target.platform->core_count(),
+                             target.platform->page_size());
 }
 
 autotune::CommGraph build_app(const std::string& app, int ranks) {
@@ -53,7 +49,7 @@ autotune::CommGraph build_app(const std::string& app, int ranks) {
 
 int main(int argc, char** argv) {
     CliParser cli("Servet mapping advisor: place MPI ranks using measured topology.");
-    cli.add_option("machine", examples::kMachineHelp, "dunnington");
+    examples::add_machine_option(cli);
     cli.add_option("profile", "saved profile file (skips measurement)", "");
     cli.add_choice("app", "communication pattern: stencil | ring | alltoall", "stencil",
                    {"stencil", "ring", "alltoall"});

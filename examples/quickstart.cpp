@@ -76,17 +76,12 @@ void print_report(const core::Profile& profile) {
 
 int main(int argc, char** argv) {
     CliParser cli("Servet quickstart: profile a machine and write its profile file.");
-    cli.add_option("machine", examples::kMachineHelp, "dunnington");
+    examples::add_machine_option(cli);
     cli.add_option("out", "profile file to write", "servet.profile");
     cli.add_flag("fast", "smaller sweep for a quick look");
     if (!cli.parse(argc, argv)) return 1;
 
-    auto target = examples::make_target(cli.option("machine"));
-    if (!target) {
-        std::fprintf(stderr, "unknown machine '%s' (choose: %s)\n",
-                     cli.option("machine").c_str(), examples::kMachineHelp);
-        return 1;
-    }
+    const examples::Target target = examples::make_target(cli.option("machine"));
 
     core::SuiteOptions options;
     if (cli.flag("fast")) {
@@ -97,10 +92,10 @@ int main(int argc, char** argv) {
         options.mem_overhead.only_with_core = 0;
     }
     const core::SuiteResult result =
-        core::run_suite(*target->platform, target->network.get(), options);
+        core::run_suite(*target.platform, target.network.get(), options);
     const core::Profile profile =
-        result.to_profile(target->platform->name(), target->platform->core_count(),
-                          target->platform->page_size());
+        result.to_profile(target.platform->name(), target.platform->core_count(),
+                          target.platform->page_size());
 
     print_report(profile);
 

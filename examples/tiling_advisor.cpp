@@ -19,17 +19,13 @@ using namespace servet;
 
 int main(int argc, char** argv) {
     CliParser cli("Servet tiling advisor: cache-aware block sizes for tiled kernels.");
-    cli.add_option("machine", examples::kMachineHelp, "dunnington");
+    examples::add_machine_option(cli);
     cli.add_int("element-bytes", "bytes per matrix element", "8", 1);
     cli.add_int("tiles", "tiles simultaneously live (3 for C += A*B)", "3", 1);
     if (!cli.parse(argc, argv)) return 1;
 
-    auto target = examples::make_target(cli.option("machine"));
-    if (!target) {
-        std::fprintf(stderr, "unknown machine '%s'\n", cli.option("machine").c_str());
-        return 1;
-    }
-    Platform& platform = *target->platform;
+    const examples::Target target = examples::make_target(cli.option("machine"));
+    Platform& platform = *target.platform;
 
     // Step 1: measure the cache hierarchy (Section III-A).
     const auto levels = core::detect_cache_levels(platform, {});

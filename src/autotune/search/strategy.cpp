@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <utility>
 
 #include "base/check.hpp"
 #include "base/hash.hpp"
 #include "base/rng.hpp"
+#include "base/text.hpp"
 #include "core/measure.hpp"
 #include "obs/metrics.hpp"
 
@@ -16,32 +16,9 @@ namespace servet::autotune::search {
 
 namespace {
 
-/// %.17g for exact round-trip; non-finite costs (an unpriced candidate
-/// evaluated analytically) render as null so the trace stays valid JSON.
-std::string format_double(double v) {
-    if (!std::isfinite(v)) return "null";
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-std::string json_escape(std::string_view text) {
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
+/// Exact decimal; non-finite costs (an unpriced candidate evaluated
+/// analytically) render as null so the trace stays valid JSON.
+std::string format_double(double v) { return std::isfinite(v) ? format_exact(v) : "null"; }
 
 struct Candidate {
     Config config;

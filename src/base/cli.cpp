@@ -1,26 +1,14 @@
 #include "base/cli.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 
 #include "base/check.hpp"
 #include "base/table.hpp"
+#include "base/text.hpp"
 #include "base/units.hpp"
 
 namespace servet {
-
-namespace {
-
-template <typename T>
-std::optional<T> parse_number(const std::string& text) {
-    T value{};
-    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc{} || end != text.data() + text.size()) return std::nullopt;
-    return value;
-}
-
-}  // namespace
 
 CliParser::CliParser(std::string program_description)
     : description_(std::move(program_description)) {
@@ -77,7 +65,7 @@ std::string CliParser::refusal(const std::string& name, const Entry& entry,
         case Kind::Text:
             break;
         case Kind::Int: {
-            const auto v = parse_number<long long>(value);
+            const auto v = parse_int<long long>(value);
             if (v && *v >= entry.int_lo && *v <= entry.int_hi) break;
             expected = "an integer";
             if (entry.int_hi != std::numeric_limits<long long>::max())
@@ -87,7 +75,7 @@ std::string CliParser::refusal(const std::string& name, const Entry& entry,
             break;
         }
         case Kind::Number: {
-            const auto v = parse_number<double>(value);
+            const auto v = parse_finite(value);
             const bool exclusive = entry.number_bound == Bound::Exclusive;
             if (v && (exclusive ? *v > entry.number_lo : *v >= entry.number_lo)) break;
             expected = strf("a number %s %g", exclusive ? ">" : ">=", entry.number_lo);
@@ -165,11 +153,11 @@ const std::string& CliParser::option(std::string_view name) const { return looku
 std::optional<long long> CliParser::option_int(std::string_view name) const {
     const Entry& entry = lookup(name);
     if (entry.kind == Kind::ByteSize) return static_cast<long long>(*parse_bytes(entry.value));
-    return parse_number<long long>(entry.value);
+    return parse_int<long long>(entry.value);
 }
 
 std::optional<double> CliParser::option_double(std::string_view name) const {
-    return parse_number<double>(option(name));
+    return parse_finite(option(name));
 }
 
 std::string CliParser::usage_text(std::string_view argv0) const {

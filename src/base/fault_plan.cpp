@@ -1,31 +1,46 @@
 #include "base/fault_plan.hpp"
 
+#include <algorithm>
 #include <cstdlib>
+#include <limits>
 
 #include "base/check.hpp"
 #include "base/hash.hpp"
+#include "base/text.hpp"
 
 namespace servet {
 
 namespace {
 
-std::optional<double> parse_probability(const std::string& text) {
-    if (text.empty()) return std::nullopt;
-    char* end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size()) return std::nullopt;
-    if (v < 0.0 || v > 1.0) return std::nullopt;
-    return v;
-}
+/// A real-valued key of the spec: the field it sets and the finite values
+/// it accepts, lo <= v <= hi (lo < v when lo_open).
+struct RealKey {
+    std::string_view key;
+    double FaultPlan::*field;
+    double lo;
+    double hi;
+    bool lo_open = false;
+};
 
-std::optional<double> parse_factor(const std::string& text) {
-    if (text.empty()) return std::nullopt;
-    char* end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size()) return std::nullopt;
-    if (v < 1.0) return std::nullopt;
-    return v;
-}
+constexpr double kUnbounded = std::numeric_limits<double>::max();
+
+constexpr RealKey kRealKeys[] = {
+    {"spike", &FaultPlan::spike_probability, 0, 1},
+    {"factor", &FaultPlan::spike_factor, 1, kUnbounded},
+    {"nan", &FaultPlan::nan_probability, 0, 1},
+    {"throw", &FaultPlan::throw_probability, 0, 1},
+    {"hang", &FaultPlan::hang_probability, 0, 1},
+    {"hang_seconds", &FaultPlan::hang_seconds, 0, kUnbounded, true},
+    {"drop", &FaultPlan::drop_probability, 0, 1},
+    {"delay", &FaultPlan::delay_probability, 0, 1},
+    {"delay_factor", &FaultPlan::delay_factor, 1, kUnbounded},
+    {"conn_drop", &FaultPlan::conn_drop_probability, 0, 1},
+    {"conn_delay", &FaultPlan::conn_delay_probability, 0, 1},
+    {"conn_delay_seconds", &FaultPlan::conn_delay_seconds, 0, kUnbounded},
+    {"conn_reset", &FaultPlan::conn_reset_probability, 0, 1},
+    {"conn_truncate", &FaultPlan::conn_truncate_probability, 0, 1},
+    {"conn_trickle", &FaultPlan::conn_trickle_probability, 0, 1},
+};
 
 }  // namespace
 
@@ -52,74 +67,25 @@ std::uint64_t FaultPlan::fingerprint() const {
 
 std::optional<FaultPlan> FaultPlan::parse(const std::string& spec) {
     FaultPlan plan;
-    std::size_t begin = 0;
-    while (begin <= spec.size()) {
-        std::size_t end = spec.find(',', begin);
-        if (end == std::string::npos) end = spec.size();
-        const std::string field = spec.substr(begin, end - begin);
-        begin = end + 1;
+    for (const std::string_view field : split(spec, ',')) {
         if (field.empty()) continue;
-
         const std::size_t eq = field.find('=');
-        if (eq == std::string::npos) return std::nullopt;
-        const std::string key = field.substr(0, eq);
-        const std::string value = field.substr(eq + 1);
-
-        const auto set_probability = [&](double& slot) {
-            const auto v = parse_probability(value);
-            if (v) slot = *v;
-            return v.has_value();
-        };
-        const auto set_factor = [&](double& slot) {
-            const auto v = parse_factor(value);
-            if (v) slot = *v;
-            return v.has_value();
-        };
-
-        bool ok = false;
-        if (key == "spike") {
-            ok = set_probability(plan.spike_probability);
-        } else if (key == "factor") {
-            ok = set_factor(plan.spike_factor);
-        } else if (key == "nan") {
-            ok = set_probability(plan.nan_probability);
-        } else if (key == "throw") {
-            ok = set_probability(plan.throw_probability);
-        } else if (key == "hang") {
-            ok = set_probability(plan.hang_probability);
-        } else if (key == "hang_seconds") {
-            char* endp = nullptr;
-            const double v = std::strtod(value.c_str(), &endp);
-            ok = !value.empty() && endp == value.c_str() + value.size() && v > 0.0;
-            if (ok) plan.hang_seconds = v;
-        } else if (key == "drop") {
-            ok = set_probability(plan.drop_probability);
-        } else if (key == "delay") {
-            ok = set_probability(plan.delay_probability);
-        } else if (key == "delay_factor") {
-            ok = set_factor(plan.delay_factor);
-        } else if (key == "conn_drop") {
-            ok = set_probability(plan.conn_drop_probability);
-        } else if (key == "conn_delay") {
-            ok = set_probability(plan.conn_delay_probability);
-        } else if (key == "conn_delay_seconds") {
-            char* endp = nullptr;
-            const double v = std::strtod(value.c_str(), &endp);
-            ok = !value.empty() && endp == value.c_str() + value.size() && v >= 0.0;
-            if (ok) plan.conn_delay_seconds = v;
-        } else if (key == "conn_reset") {
-            ok = set_probability(plan.conn_reset_probability);
-        } else if (key == "conn_truncate") {
-            ok = set_probability(plan.conn_truncate_probability);
-        } else if (key == "conn_trickle") {
-            ok = set_probability(plan.conn_trickle_probability);
-        } else if (key == "seed") {
-            char* endp = nullptr;
-            const unsigned long long v = std::strtoull(value.c_str(), &endp, 0);
-            ok = !value.empty() && endp == value.c_str() + value.size();
-            if (ok) plan.seed = v;
+        if (eq == std::string_view::npos) return std::nullopt;
+        const std::string_view key = field.substr(0, eq);
+        const std::string_view value = field.substr(eq + 1);
+        if (key == "seed") {
+            const auto seed = parse_int<std::uint64_t>(value);
+            if (!seed) return std::nullopt;
+            plan.seed = *seed;
+            continue;
         }
-        if (!ok) return std::nullopt;
+        const auto real = std::find_if(std::begin(kRealKeys), std::end(kRealKeys),
+                                       [&](const RealKey& k) { return k.key == key; });
+        const auto v = parse_finite(value);
+        if (real == std::end(kRealKeys) || !v || *v < real->lo || *v > real->hi ||
+            (real->lo_open && *v == real->lo))
+            return std::nullopt;
+        plan.*real->field = *v;
     }
     return plan;
 }

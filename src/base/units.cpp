@@ -2,9 +2,10 @@
 
 #include <array>
 #include <cctype>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
+
+#include "base/text.hpp"
 
 namespace servet {
 
@@ -48,11 +49,8 @@ std::optional<Bytes> parse_bytes(std::string_view text) {
         ++pos;
     const std::string_view num = text.substr(0, pos);
     std::string_view unit = text.substr(pos);
-    if (num.empty()) return std::nullopt;
-
-    double value = 0;
-    const auto [end, ec] = std::from_chars(num.data(), num.data() + num.size(), value);
-    if (ec != std::errc{} || end != num.data() + num.size() || value < 0) return std::nullopt;
+    const std::optional<double> value = parse_finite(num);
+    if (!value) return std::nullopt;
 
     // Normalize unit: strip spaces, lowercase, accept K/KB/KiB forms.
     std::string u;
@@ -72,7 +70,7 @@ std::optional<Bytes> parse_bytes(std::string_view text) {
     } else {
         return std::nullopt;
     }
-    const double bytes = value * static_cast<double>(factor);
+    const double bytes = *value * static_cast<double>(factor);
     if (bytes > 9.0e18) return std::nullopt;  // would overflow Bytes
     return static_cast<Bytes>(std::llround(bytes));
 }

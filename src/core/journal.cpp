@@ -4,15 +4,13 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <optional>
-#include <sstream>
 #include <utility>
 
 #include "base/fs.hpp"
 #include "base/hash.hpp"
 #include "base/log.hpp"
+#include "base/text.hpp"
 
 namespace servet::core {
 
@@ -22,26 +20,6 @@ constexpr const char* kRunHeader = "servet-journal 1";
 constexpr const char* kRunFileName = "journal.servet";
 constexpr const char* kSeriesHeader = "servet-series 1";
 constexpr const char* kSeriesFileName = "series.servet";
-
-std::string hex64(std::uint64_t v) {
-    char buf[20];
-    std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-    return buf;
-}
-
-std::optional<std::uint64_t> parse_hex64(const std::string& text) {
-    if (text.empty()) return std::nullopt;
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(text.c_str(), &end, 16);
-    if (end != text.c_str() + text.size()) return std::nullopt;
-    return v;
-}
-
-std::string fmt_seconds(Seconds v) {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%a", v);
-    return buf;
-}
 
 /// Reads the next '\n'-terminated line starting at `pos`; false at EOF or
 /// on an unterminated line (a torn append never counts as a line).
@@ -58,13 +36,8 @@ bool next_line(const std::string& text, std::size_t& pos, std::string& line) {
 std::pair<std::string, std::string> split_kv(const std::string& line) {
     const std::size_t eq = line.find('=');
     if (eq == std::string::npos) return {};
-    const auto trim = [](std::string s) {
-        const auto begin = s.find_first_not_of(" \t\r");
-        if (begin == std::string::npos) return std::string{};
-        const auto end = s.find_last_not_of(" \t\r");
-        return s.substr(begin, end - begin + 1);
-    };
-    return {trim(line.substr(0, eq)), trim(line.substr(eq + 1))};
+    const std::string_view view = line;
+    return {std::string(trim(view.substr(0, eq))), std::string(trim(view.substr(eq + 1)))};
 }
 
 // ---- framed-record machinery shared by RunJournal and SeriesJournal ----
@@ -72,8 +45,8 @@ std::pair<std::string, std::string> split_kv(const std::string& line) {
 /// The identity block every journal kind starts with, after its magic.
 std::string header_text(const char* magic, const RunJournal::Header& header) {
     std::string out = std::string(magic) + '\n';
-    out += "options = " + hex64(header.options_hash) + '\n';
-    out += "fingerprint = " + hex64(header.fingerprint) + '\n';
+    out += "options = " + format_hex64(header.options_hash) + '\n';
+    out += "fingerprint = " + format_hex64(header.fingerprint) + '\n';
     out += "machine = " + header.machine + '\n';
     out += "cores = " + std::to_string(header.cores) + '\n';
     out += "page_size = " + std::to_string(header.page_size) + '\n';
@@ -100,20 +73,22 @@ RunJournal::Header parse_header(const std::string& text, std::size_t& pos, const
             loaded.machine = v;
             continue;
         }
+        const auto bad = [&] {
+            return JournalError("malformed journal " + path + ": bad " + k);
+        };
         if (k == "options" || k == "fingerprint") {
-            const auto parsed = parse_hex64(v);
-            if (!parsed) throw JournalError("malformed journal " + path + ": bad " + k);
+            const auto parsed = parse_int<std::uint64_t>(v, 16);
+            if (!parsed) throw bad();
             (k == "options" ? loaded.options_hash : loaded.fingerprint) = *parsed;
-            continue;
+        } else if (k == "cores") {
+            const auto parsed = parse_int<int>(v);
+            if (!parsed || *parsed < 0) throw bad();
+            loaded.cores = *parsed;
+        } else {
+            const auto parsed = parse_int<Bytes>(v);
+            if (!parsed) throw bad();
+            loaded.page_size = *parsed;
         }
-        char* end = nullptr;
-        const long long parsed = std::strtoll(v.c_str(), &end, 10);
-        if (v.empty() || end != v.c_str() + v.size() || parsed < 0)
-            throw JournalError("malformed journal " + path + ": bad " + k);
-        if (k == "cores")
-            loaded.cores = static_cast<int>(parsed);
-        else
-            loaded.page_size = static_cast<Bytes>(parsed);
     }
     return loaded;
 }
@@ -124,14 +99,14 @@ void check_compatible(const RunJournal::Header& loaded, const RunJournal::Header
                       const std::string& path) {
     if (loaded.options_hash != expected.options_hash)
         throw JournalError("journal " + path + " was written with options hash " +
-                           hex64(loaded.options_hash) + " but this run's is " +
-                           hex64(expected.options_hash) +
+                           format_hex64(loaded.options_hash) + " but this run's is " +
+                           format_hex64(expected.options_hash) +
                            "; pass the same options to resume, or use a fresh --run-dir");
     if (loaded.fingerprint != 0 && expected.fingerprint != 0) {
         if (loaded.fingerprint != expected.fingerprint)
             throw JournalError("journal " + path + " measured machine fingerprint " +
-                               hex64(loaded.fingerprint) + " but this run targets " +
-                               hex64(expected.fingerprint) +
+                               format_hex64(loaded.fingerprint) + " but this run targets " +
+                               format_hex64(expected.fingerprint) +
                                "; resume on the same machine, or use a fresh --run-dir");
     } else if (loaded.machine != expected.machine) {
         // No content fingerprint to compare (real hardware): the machine
@@ -170,31 +145,28 @@ std::size_t read_framed_records(const std::string& text, std::size_t pos, const 
         const std::size_t record_start = pos;
         if (!next_line(text, pos, line)) return record_start;
         if (line.empty()) continue;
-        std::istringstream fields{line};
+        // The fields after the length (the run journal's seconds) stay
+        // one text: their damage is judged by the caller, not here.
+        const std::vector<std::string_view> fields = split(line, ' ');
+        const auto length =
+            fields.size() >= 3 ? parse_int<std::size_t>(fields[2]) : std::nullopt;
+        if (!length || fields[0] != kind || fields[1].empty() || *length >= text.size() - pos)
+            return record_start;
         FramedRecord record;
         record.offset = record_start;
-        std::string tag;
-        std::size_t length = 0;
-        if (!(fields >> tag >> record.key >> length) || tag != kind ||
-            pos + length + 1 > text.size())
-            return record_start;
-        std::getline(fields, record.extra);
-        const std::size_t keep = record.extra.find_first_not_of(" \t");
-        record.extra = keep == std::string::npos ? std::string{} : record.extra.substr(keep);
-        record.payload = text.substr(pos, length);
-        pos += length;
+        record.key = fields[1];
+        if (fields.size() > 3)
+            record.extra = line.substr(static_cast<std::size_t>(fields[3].data() - line.data()));
+        record.payload = text.substr(pos, *length);
+        pos += *length;
         if (text[pos] != '\n') return record_start;
         ++pos;
         std::string commit_line;
         if (!next_line(text, pos, commit_line)) return record_start;
-        std::istringstream commit_fields{commit_line};
-        std::string commit_tag;
-        std::string commit_key;
-        std::string hash_text;
-        if (!(commit_fields >> commit_tag >> commit_key >> hash_text) ||
-            commit_tag != "commit" || commit_key != record.key)
+        const std::vector<std::string_view> commit = split(commit_line, ' ');
+        if (commit.size() < 3 || commit[0] != "commit" || commit[1] != record.key)
             return record_start;
-        const auto hash = parse_hex64(hash_text);
+        const auto hash = parse_int<std::uint64_t>(commit[2], 16);
         if (!hash || *hash != fnv1a64(record.payload)) return record_start;
         out.push_back(std::move(record));
     }
@@ -323,9 +295,8 @@ void RunJournal::load(const std::string& text) {
         // The frame's trailing field is the producing run's wall-clock.
         // The commit hash covers only the payload, so this field can be
         // damaged on a record whose payload still verifies.
-        char* end = nullptr;
-        const double seconds = std::strtod(record.extra.c_str(), &end);
-        if (record.extra.empty() || end != record.extra.c_str() + record.extra.size()) {
+        const std::optional<double> seconds = parse_double(record.extra);
+        if (!seconds) {
             if (i + 1 == framed.size()) {
                 // Last committed record: the damage is a genuine tail and
                 // truncating it only removes the bad record itself.
@@ -342,7 +313,7 @@ void RunJournal::load(const std::string& text) {
         }
         // Later records win: a repair rewrite never duplicates, but a
         // re-measured phase appended after a replayed one must shadow it.
-        records_.insert_or_assign(record.key, Record{std::move(record.payload), seconds});
+        records_.insert_or_assign(record.key, Record{std::move(record.payload), *seconds});
     }
     if (valid_end < text.size()) {
         dropped_torn_tail_ = true;
@@ -359,10 +330,11 @@ bool RunJournal::append(const std::string& phase, const std::string& payload,
                         Seconds seconds, std::uint64_t digest) {
     const std::lock_guard<std::mutex> lock(mutex_);
     std::string record = "phase " + phase + ' ' + std::to_string(payload.size()) + ' ' +
-                         fmt_seconds(seconds) + '\n';
+                         format_hexfloat(seconds) + '\n';
     record += payload;
     record += '\n';
-    record += "commit " + phase + ' ' + hex64(fnv1a64(payload)) + ' ' + hex64(digest) + '\n';
+    record += "commit " + phase + ' ' + format_hex64(fnv1a64(payload)) + ' ' +
+              format_hex64(digest) + '\n';
     if (!append_synced(path_, record)) return false;
     records_.insert_or_assign(phase, Record{payload, seconds});
     return true;
@@ -381,11 +353,11 @@ std::string RunJournal::serialize_all() const {
     std::string out = header_text(kRunHeader, header_);
     for (const auto& [phase, record] : records_) {
         out += "phase " + phase + ' ' + std::to_string(record.payload.size()) + ' ' +
-               fmt_seconds(record.seconds) + '\n';
+               format_hexfloat(record.seconds) + '\n';
         out += record.payload;
         out += '\n';
-        out += "commit " + phase + ' ' + hex64(fnv1a64(record.payload)) + ' ' + hex64(0) +
-               '\n';
+        out += "commit " + phase + ' ' + format_hex64(fnv1a64(record.payload)) + ' ' +
+               format_hex64(0) + '\n';
     }
     return out;
 }
@@ -441,7 +413,7 @@ bool SeriesJournal::append(const std::string& payload) {
     std::string record = "sample " + tick + ' ' + std::to_string(payload.size()) + '\n';
     record += payload;
     record += '\n';
-    record += "commit " + tick + ' ' + hex64(fnv1a64(payload)) + '\n';
+    record += "commit " + tick + ' ' + format_hex64(fnv1a64(payload)) + '\n';
     if (!append_synced(path_, record)) return false;
     samples_.push_back(payload);
     return true;

@@ -1,6 +1,5 @@
 #include "core/measure.hpp"
 
-#include <cstdio>
 #include <exception>
 #include <string_view>
 #include <unordered_map>
@@ -10,6 +9,7 @@
 #include "base/clock.hpp"
 #include "base/deadline.hpp"
 #include "base/hash.hpp"
+#include "base/text.hpp"
 #include "exec/task_key.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -72,10 +72,7 @@ MeasureEngine::MeasureEngine(Platform* platform, msg::Network* network, exec::Th
 }
 
 std::string MeasureEngine::memo_key(const std::string& task_key) const {
-    char prefix[20];
-    std::snprintf(prefix, sizeof prefix, "%016llx/",
-                  static_cast<unsigned long long>(fingerprint_));
-    return prefix + task_key;
+    return format_hex64(fingerprint_) + '/' + task_key;
 }
 
 std::vector<double> MeasureEngine::run_one(const MeasureTask& task) {

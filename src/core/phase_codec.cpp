@@ -1,113 +1,67 @@
 #include "core/phase_codec.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-#include <sstream>
+#include <algorithm>
 
 #include "base/check.hpp"
+#include "base/text.hpp"
 
 namespace servet::core {
 
 namespace {
 
-// %a hexfloats round-trip every finite double bit-exactly through strtod;
-// that exactness is what lets a journal replay reproduce a profile byte
-// for byte.
-std::string hex(double v) {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%a", v);
-    return buf;
-}
-
-std::optional<double> parse_hex(const std::string& text) {
-    if (text.empty()) return std::nullopt;
-    char* end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size()) return std::nullopt;
-    return v;
-}
-
-std::optional<long long> parse_ll(const std::string& text) {
-    if (text.empty()) return std::nullopt;
-    char* end = nullptr;
-    const long long v = std::strtoll(text.c_str(), &end, 10);
-    if (end != text.c_str() + text.size()) return std::nullopt;
-    return v;
-}
+using Fields = std::vector<std::string_view>;
 
 /// Cores as "0,1,2"; the empty list as "-" (a field must not vanish from
 /// a space-separated record).
 std::string fmt_cores(const std::vector<CoreId>& cores) {
     if (cores.empty()) return "-";
-    std::string out;
-    for (std::size_t i = 0; i < cores.size(); ++i) {
-        if (i) out += ',';
-        out += std::to_string(cores[i]);
-    }
-    return out;
-}
-
-std::optional<std::vector<CoreId>> parse_cores(const std::string& text) {
-    std::vector<CoreId> cores;
-    if (text == "-") return cores;
-    std::stringstream stream(text);
-    std::string token;
-    while (std::getline(stream, token, ',')) {
-        const auto v = parse_ll(token);
-        if (!v) return std::nullopt;
-        cores.push_back(static_cast<CoreId>(*v));
-    }
-    if (cores.empty()) return std::nullopt;
-    return cores;
+    return join(cores, ',', [](CoreId core) { return std::to_string(core); });
 }
 
 /// Doubles as "a,b,c" hexfloats; empty as "-".
 std::string fmt_doubles(const std::vector<double>& values) {
     if (values.empty()) return "-";
-    std::string out;
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i) out += ',';
-        out += hex(values[i]);
-    }
-    return out;
+    return join(values, ',', format_hexfloat);
 }
 
-std::optional<std::vector<double>> parse_doubles(const std::string& text) {
-    std::vector<double> values;
-    if (text == "-") return values;
-    std::stringstream stream(text);
-    std::string token;
-    while (std::getline(stream, token, ',')) {
-        const auto v = parse_hex(token);
-        if (!v) return std::nullopt;
-        values.push_back(*v);
-    }
-    if (values.empty()) return std::nullopt;
+/// Inverse of fmt_cores/fmt_doubles: "-" is the empty list, anything else
+/// a non-empty list whose every item `read` accepts.
+template <typename Read>
+auto parse_dashed_list(std::string_view text, Read read) {
+    const bool dash = text == "-";
+    auto values = parse_list(dash ? std::string_view{} : text, ',', read);
+    if (values && values->empty() != dash) values.reset();
     return values;
 }
 
-/// Line-dispatch loop shared by every decoder: feeds each non-empty line's
-/// first token and the rest of its fields to `handle`, which returns false
-/// to reject the payload.
-template <typename Handler>
-bool for_each_record(const std::string& text, Handler&& handle) {
-    std::stringstream stream(text);
-    std::string line;
-    while (std::getline(stream, line)) {
-        if (line.empty()) continue;
-        std::istringstream fields(line);
-        std::string tag;
-        if (!(fields >> tag)) return false;
-        if (!handle(tag, fields)) return false;
-    }
-    return true;
+std::optional<std::vector<CoreId>> parse_cores(std::string_view text) {
+    return parse_dashed_list(text, [](std::string_view v) { return parse_int<CoreId>(v); });
 }
 
-/// True when the stream has no further non-space content (arity check:
-/// trailing junk rejects the record).
-bool exhausted(std::istringstream& fields) {
-    std::string rest;
-    return !(fields >> rest);
+std::optional<std::vector<double>> parse_doubles(std::string_view text) {
+    return parse_dashed_list(text, parse_double);
+}
+
+std::optional<CorePair> parse_pair(std::string_view a, std::string_view b) {
+    const auto first = parse_int<CoreId>(a);
+    const auto second = parse_int<CoreId>(b);
+    if (!first || !second) return std::nullopt;
+    return CorePair{*first, *second};
+}
+
+/// Line-dispatch loop shared by every decoder: feeds each non-empty line's
+/// space-separated fields, tag first, to `handle`, which returns false to
+/// reject the payload. An empty field (doubled or stray space) rejects it
+/// too.
+template <typename Handler>
+bool for_each_record(const std::string& text, Handler&& handle) {
+    for (const std::string_view line : split(text, '\n')) {
+        if (line.empty()) continue;
+        const Fields fields = split(line, ' ');
+        if (std::ranges::any_of(fields, &std::string_view::empty) || !handle(fields))
+            return false;
+    }
+    return true;
 }
 
 }  // namespace
@@ -117,7 +71,7 @@ std::string encode_cache_size(const CacheSizePayload& payload) {
     std::string out;
     for (std::size_t i = 0; i < payload.curve.sizes.size(); ++i)
         out += "point " + std::to_string(payload.curve.sizes[i]) + ' ' +
-               hex(payload.curve.cycles[i]) + '\n';
+               format_hexfloat(payload.curve.cycles[i]) + '\n';
     for (const CacheLevelEstimate& level : payload.levels) {
         SERVET_CHECK_MSG(!level.method.empty() &&
                              level.method.find_first_of(" \t\n\r") == std::string::npos,
@@ -131,32 +85,21 @@ std::string encode_cache_size(const CacheSizePayload& payload) {
 
 std::optional<CacheSizePayload> decode_cache_size(const std::string& text) {
     CacheSizePayload payload;
-    const bool ok = for_each_record(text, [&](const std::string& tag,
-                                              std::istringstream& fields) {
-        if (tag == "point") {
-            long long size = 0;
-            std::string cycles;
-            if (!(fields >> size >> cycles) || size < 0 || !exhausted(fields)) return false;
-            const auto v = parse_hex(cycles);
-            if (!v) return false;
-            payload.curve.sizes.push_back(static_cast<Bytes>(size));
-            payload.curve.cycles.push_back(*v);
+    const bool ok = for_each_record(text, [&](const Fields& f) {
+        if (f[0] == "point" && f.size() == 3) {
+            const auto size = parse_int<Bytes>(f[1]);
+            const auto cycles = parse_double(f[2]);
+            if (!size || !cycles) return false;
+            payload.curve.sizes.push_back(*size);
+            payload.curve.cycles.push_back(*cycles);
             return true;
         }
-        if (tag == "level") {
-            long long size = 0;
-            std::string method;
-            long long first = 0;
-            long long last = 0;
-            if (!(fields >> size >> method >> first >> last) || size < 0 || first < 0 ||
-                last < 0 || !exhausted(fields))
-                return false;
-            CacheLevelEstimate level;
-            level.size = static_cast<Bytes>(size);
-            level.method = method;
-            level.window_first = static_cast<std::size_t>(first);
-            level.window_last = static_cast<std::size_t>(last);
-            payload.levels.push_back(std::move(level));
+        if (f[0] == "level" && f.size() == 5) {
+            const auto size = parse_int<Bytes>(f[1]);
+            const auto first = parse_int<std::size_t>(f[3]);
+            const auto last = parse_int<std::size_t>(f[4]);
+            if (!size || !first || !last) return false;
+            payload.levels.push_back({*size, std::string(f[2]), *first, *last});
             return true;
         }
         return false;
@@ -169,10 +112,11 @@ std::string encode_shared_caches(const std::vector<SharedCacheLevelResult>& leve
     std::string out;
     for (const SharedCacheLevelResult& level : levels) {
         out += "level " + std::to_string(level.cache_size) + ' ' +
-               std::to_string(level.array_bytes) + ' ' + hex(level.reference_cycles) + '\n';
+               std::to_string(level.array_bytes) + ' ' +
+               format_hexfloat(level.reference_cycles) + '\n';
         for (const SharedCachePairResult& pair : level.pairs)
             out += "pair " + std::to_string(pair.pair.a) + ' ' + std::to_string(pair.pair.b) +
-                   ' ' + hex(pair.ratio) + '\n';
+                   ' ' + format_hexfloat(pair.ratio) + '\n';
         for (const CorePair& pair : level.sharing_pairs)
             out += "sharing " + std::to_string(pair.a) + ' ' + std::to_string(pair.b) + '\n';
         for (const std::vector<CoreId>& group : level.groups)
@@ -184,47 +128,36 @@ std::string encode_shared_caches(const std::vector<SharedCacheLevelResult>& leve
 std::optional<std::vector<SharedCacheLevelResult>> decode_shared_caches(
     const std::string& text) {
     std::vector<SharedCacheLevelResult> levels;
-    const bool ok = for_each_record(text, [&](const std::string& tag,
-                                              std::istringstream& fields) {
-        if (tag == "level") {
-            long long cache_size = 0;
-            long long array_bytes = 0;
-            std::string reference;
-            if (!(fields >> cache_size >> array_bytes >> reference) || cache_size < 0 ||
-                array_bytes < 0 || !exhausted(fields))
-                return false;
-            const auto v = parse_hex(reference);
-            if (!v) return false;
+    const bool ok = for_each_record(text, [&](const Fields& f) {
+        if (f[0] == "level" && f.size() == 4) {
+            const auto cache_size = parse_int<Bytes>(f[1]);
+            const auto array_bytes = parse_int<Bytes>(f[2]);
+            const auto reference = parse_double(f[3]);
+            if (!cache_size || !array_bytes || !reference) return false;
             SharedCacheLevelResult level;
-            level.cache_size = static_cast<Bytes>(cache_size);
-            level.array_bytes = static_cast<Bytes>(array_bytes);
-            level.reference_cycles = *v;
+            level.cache_size = *cache_size;
+            level.array_bytes = *array_bytes;
+            level.reference_cycles = *reference;
             levels.push_back(std::move(level));
             return true;
         }
         if (levels.empty()) return false;  // every other tag attaches to a level
         SharedCacheLevelResult& level = levels.back();
-        if (tag == "pair") {
-            int a = 0;
-            int b = 0;
-            std::string ratio;
-            if (!(fields >> a >> b >> ratio) || !exhausted(fields)) return false;
-            const auto v = parse_hex(ratio);
-            if (!v) return false;
-            level.pairs.push_back({{a, b}, *v});
+        if (f[0] == "pair" && f.size() == 4) {
+            const auto pair = parse_pair(f[1], f[2]);
+            const auto ratio = parse_double(f[3]);
+            if (!pair || !ratio) return false;
+            level.pairs.push_back({*pair, *ratio});
             return true;
         }
-        if (tag == "sharing") {
-            int a = 0;
-            int b = 0;
-            if (!(fields >> a >> b) || !exhausted(fields)) return false;
-            level.sharing_pairs.push_back({a, b});
+        if (f[0] == "sharing" && f.size() == 3) {
+            const auto pair = parse_pair(f[1], f[2]);
+            if (!pair) return false;
+            level.sharing_pairs.push_back(*pair);
             return true;
         }
-        if (tag == "group") {
-            std::string cores;
-            if (!(fields >> cores) || !exhausted(fields)) return false;
-            const auto group = parse_cores(cores);
+        if (f[0] == "group" && f.size() == 2) {
+            const auto group = parse_cores(f[1]);
             if (!group) return false;
             level.groups.push_back(*group);
             return true;
@@ -236,12 +169,12 @@ std::optional<std::vector<SharedCacheLevelResult>> decode_shared_caches(
 }
 
 std::string encode_mem_overhead(const MemOverheadResult& result) {
-    std::string out = "reference " + hex(result.reference_bandwidth) + '\n';
+    std::string out = "reference " + format_hexfloat(result.reference_bandwidth) + '\n';
     for (const MemPairResult& pair : result.pairs)
         out += "pair " + std::to_string(pair.pair.a) + ' ' + std::to_string(pair.pair.b) +
-               ' ' + hex(pair.bandwidth) + '\n';
+               ' ' + format_hexfloat(pair.bandwidth) + '\n';
     for (const MemOverheadTier& tier : result.tiers) {
-        out += "tier " + hex(tier.bandwidth) + '\n';
+        out += "tier " + format_hexfloat(tier.bandwidth) + '\n';
         for (const CorePair& pair : tier.pairs)
             out += "tier-pair " + std::to_string(pair.a) + ' ' + std::to_string(pair.b) + '\n';
         for (const std::vector<CoreId>& group : tier.groups)
@@ -255,67 +188,46 @@ std::string encode_mem_overhead(const MemOverheadResult& result) {
 
 std::optional<MemOverheadResult> decode_mem_overhead(const std::string& text) {
     MemOverheadResult result;
-    const bool ok = for_each_record(text, [&](const std::string& tag,
-                                              std::istringstream& fields) {
-        if (tag == "reference") {
-            std::string value;
-            if (!(fields >> value) || !exhausted(fields)) return false;
-            const auto v = parse_hex(value);
-            if (!v) return false;
-            result.reference_bandwidth = *v;
+    const bool ok = for_each_record(text, [&](const Fields& f) {
+        if (f[0] == "reference" && f.size() == 2) {
+            const auto bandwidth = parse_double(f[1]);
+            if (!bandwidth) return false;
+            result.reference_bandwidth = *bandwidth;
             return true;
         }
-        if (tag == "pair") {
-            int a = 0;
-            int b = 0;
-            std::string bandwidth;
-            if (!(fields >> a >> b >> bandwidth) || !exhausted(fields)) return false;
-            const auto v = parse_hex(bandwidth);
-            if (!v) return false;
-            result.pairs.push_back({{a, b}, *v});
+        if (f[0] == "pair" && f.size() == 4) {
+            const auto pair = parse_pair(f[1], f[2]);
+            const auto bandwidth = parse_double(f[3]);
+            if (!pair || !bandwidth) return false;
+            result.pairs.push_back({*pair, *bandwidth});
             return true;
         }
-        if (tag == "tier") {
-            std::string bandwidth;
-            if (!(fields >> bandwidth) || !exhausted(fields)) return false;
-            const auto v = parse_hex(bandwidth);
-            if (!v) return false;
+        if (f[0] == "tier" && f.size() == 2) {
+            const auto bandwidth = parse_double(f[1]);
+            if (!bandwidth) return false;
             MemOverheadTier tier;
-            tier.bandwidth = *v;
+            tier.bandwidth = *bandwidth;
             result.tiers.push_back(std::move(tier));
             return true;
         }
-        if (tag == "tier-pair" || tag == "tier-group") {
-            if (result.tiers.empty()) return false;
-            MemOverheadTier& tier = result.tiers.back();
-            if (tag == "tier-pair") {
-                int a = 0;
-                int b = 0;
-                if (!(fields >> a >> b) || !exhausted(fields)) return false;
-                tier.pairs.push_back({a, b});
-                return true;
-            }
-            std::string cores;
-            if (!(fields >> cores) || !exhausted(fields)) return false;
-            const auto group = parse_cores(cores);
-            if (!group) return false;
-            tier.groups.push_back(*group);
+        if (f[0] == "tier-pair" && f.size() == 3 && !result.tiers.empty()) {
+            const auto pair = parse_pair(f[1], f[2]);
+            if (!pair) return false;
+            result.tiers.back().pairs.push_back(*pair);
             return true;
         }
-        if (tag == "scal") {
-            long long tier = 0;
-            std::string cores;
-            std::string bandwidths;
-            if (!(fields >> tier >> cores >> bandwidths) || tier < 0 || !exhausted(fields))
-                return false;
-            const auto group = parse_cores(cores);
-            const auto curve = parse_doubles(bandwidths);
-            if (!group || !curve) return false;
-            MemScalabilityCurve scal;
-            scal.tier = static_cast<std::size_t>(tier);
-            scal.group = *group;
-            scal.bandwidth_by_n = *curve;
-            result.scalability.push_back(std::move(scal));
+        if (f[0] == "tier-group" && f.size() == 2 && !result.tiers.empty()) {
+            const auto group = parse_cores(f[1]);
+            if (!group) return false;
+            result.tiers.back().groups.push_back(*group);
+            return true;
+        }
+        if (f[0] == "scal" && f.size() == 4) {
+            const auto tier = parse_int<std::size_t>(f[1]);
+            const auto group = parse_cores(f[2]);
+            const auto curve = parse_doubles(f[3]);
+            if (!tier || !group || !curve) return false;
+            result.scalability.push_back({*tier, *group, *curve});
             return true;
         }
         return false;
@@ -328,15 +240,16 @@ std::string encode_comm_costs(const CommCostsResult& result) {
     std::string out = "probe " + std::to_string(result.probe_message) + '\n';
     for (const CommPairLatency& pair : result.pairs)
         out += "pair " + std::to_string(pair.pair.a) + ' ' + std::to_string(pair.pair.b) +
-               ' ' + hex(pair.latency) + '\n';
+               ' ' + format_hexfloat(pair.latency) + '\n';
     for (const CommLayer& layer : result.layers) {
-        out += "layer " + hex(layer.latency) + ' ' + std::to_string(layer.representative.a) +
-               ' ' + std::to_string(layer.representative.b) + '\n';
+        out += "layer " + format_hexfloat(layer.latency) + ' ' +
+               std::to_string(layer.representative.a) + ' ' +
+               std::to_string(layer.representative.b) + '\n';
         for (const CorePair& pair : layer.pairs)
             out += "layer-pair " + std::to_string(pair.a) + ' ' + std::to_string(pair.b) +
                    '\n';
         for (const auto& [size, latency] : layer.p2p)
-            out += "p2p " + std::to_string(size) + ' ' + hex(latency) + '\n';
+            out += "p2p " + std::to_string(size) + ' ' + format_hexfloat(latency) + '\n';
         out += "slowdown " + fmt_doubles(layer.slowdown_by_n) + '\n';
     }
     return out;
@@ -344,61 +257,49 @@ std::string encode_comm_costs(const CommCostsResult& result) {
 
 std::optional<CommCostsResult> decode_comm_costs(const std::string& text) {
     CommCostsResult result;
-    const bool ok = for_each_record(text, [&](const std::string& tag,
-                                              std::istringstream& fields) {
-        if (tag == "probe") {
-            long long bytes = 0;
-            if (!(fields >> bytes) || bytes < 0 || !exhausted(fields)) return false;
-            result.probe_message = static_cast<Bytes>(bytes);
+    const bool ok = for_each_record(text, [&](const Fields& f) {
+        if (f[0] == "probe" && f.size() == 2) {
+            const auto bytes = parse_int<Bytes>(f[1]);
+            if (!bytes) return false;
+            result.probe_message = *bytes;
             return true;
         }
-        if (tag == "pair") {
-            int a = 0;
-            int b = 0;
-            std::string latency;
-            if (!(fields >> a >> b >> latency) || !exhausted(fields)) return false;
-            const auto v = parse_hex(latency);
-            if (!v) return false;
-            result.pairs.push_back({{a, b}, *v});
+        if (f[0] == "pair" && f.size() == 4) {
+            const auto pair = parse_pair(f[1], f[2]);
+            const auto latency = parse_double(f[3]);
+            if (!pair || !latency) return false;
+            result.pairs.push_back({*pair, *latency});
             return true;
         }
-        if (tag == "layer") {
-            std::string latency;
-            int a = 0;
-            int b = 0;
-            if (!(fields >> latency >> a >> b) || !exhausted(fields)) return false;
-            const auto v = parse_hex(latency);
-            if (!v) return false;
+        if (f[0] == "layer" && f.size() == 4) {
+            const auto latency = parse_double(f[1]);
+            const auto representative = parse_pair(f[2], f[3]);
+            if (!latency || !representative) return false;
             CommLayer layer;
-            layer.latency = *v;
-            layer.representative = {a, b};
+            layer.latency = *latency;
+            layer.representative = *representative;
             result.layers.push_back(std::move(layer));
             return true;
         }
         if (result.layers.empty()) return false;
         CommLayer& layer = result.layers.back();
-        if (tag == "layer-pair") {
-            int a = 0;
-            int b = 0;
-            if (!(fields >> a >> b) || !exhausted(fields)) return false;
-            layer.pairs.push_back({a, b});
+        if (f[0] == "layer-pair" && f.size() == 3) {
+            const auto pair = parse_pair(f[1], f[2]);
+            if (!pair) return false;
+            layer.pairs.push_back(*pair);
             return true;
         }
-        if (tag == "p2p") {
-            long long size = 0;
-            std::string latency;
-            if (!(fields >> size >> latency) || size < 0 || !exhausted(fields)) return false;
-            const auto v = parse_hex(latency);
-            if (!v) return false;
-            layer.p2p.emplace_back(static_cast<Bytes>(size), *v);
+        if (f[0] == "p2p" && f.size() == 3) {
+            const auto size = parse_int<Bytes>(f[1]);
+            const auto latency = parse_double(f[2]);
+            if (!size || !latency) return false;
+            layer.p2p.emplace_back(*size, *latency);
             return true;
         }
-        if (tag == "slowdown") {
-            std::string values;
-            if (!(fields >> values) || !exhausted(fields)) return false;
-            const auto v = parse_doubles(values);
-            if (!v) return false;
-            layer.slowdown_by_n = *v;
+        if (f[0] == "slowdown" && f.size() == 2) {
+            const auto values = parse_doubles(f[1]);
+            if (!values) return false;
+            layer.slowdown_by_n = *values;
             return true;
         }
         return false;

@@ -2,9 +2,9 @@
 // the run journal (core/journal.hpp). Each encoder turns one phase's
 // complete result into a line-oriented text block and each decoder
 // reconstructs a struct equal to the original — doubles travel as C
-// hexfloats ("%a"), which round-trip bit-exactly, so a resumed run that
-// replays a journaled phase produces a profile byte-identical to the run
-// that measured it.
+// hexfloats (base/text.hpp), which round-trip bit-exactly, so a resumed
+// run that replays a journaled phase produces a profile byte-identical to
+// the run that measured it.
 #pragma once
 
 #include <optional>

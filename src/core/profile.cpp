@@ -1,13 +1,10 @@
 #include "core/profile.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 #include "base/check.hpp"
 #include "base/fs.hpp"
+#include "base/text.hpp"
 #include "sim/topology.hpp"
 
 namespace servet::core {
@@ -16,155 +13,66 @@ namespace {
 
 constexpr const char* kHeader = "servet-profile 1";
 
-std::string fmt_double(double v) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);  // exact round-trip
-    return buf;
+std::string fmt_ints(const std::vector<int>& values) {
+    return join(values, ',', [](int v) { return std::to_string(v); });
 }
 
 std::string fmt_groups(const std::vector<std::vector<CoreId>>& groups) {
-    std::string out;
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-        if (g) out += ';';
-        for (std::size_t i = 0; i < groups[g].size(); ++i) {
-            if (i) out += ',';
-            out += std::to_string(groups[g][i]);
-        }
-    }
-    return out;
+    return join(groups, ';', fmt_ints);
 }
 
 std::string fmt_pairs(const std::vector<CorePair>& pairs) {
-    std::string out;
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-        if (i) out += ';';
-        out += std::to_string(pairs[i].a) + '-' + std::to_string(pairs[i].b);
-    }
-    return out;
+    return join(pairs, ';', [](const CorePair& pair) {
+        return std::to_string(pair.a) + '-' + std::to_string(pair.b);
+    });
 }
 
 std::string fmt_curve(const std::vector<std::pair<Bytes, Seconds>>& curve) {
-    std::string out;
-    for (std::size_t i = 0; i < curve.size(); ++i) {
-        if (i) out += ';';
-        out += std::to_string(curve[i].first) + ':' + fmt_double(curve[i].second);
-    }
-    return out;
-}
-
-std::string fmt_ints(const std::vector<int>& values) {
-    std::string out;
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i) out += ',';
-        out += std::to_string(values[i]);
-    }
-    return out;
+    return join(curve, ';', [](const std::pair<Bytes, Seconds>& point) {
+        return std::to_string(point.first) + ':' + format_exact(point.second);
+    });
 }
 
 std::string fmt_doubles(const std::vector<double>& values) {
-    std::string out;
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i) out += ',';
-        out += fmt_double(values[i]);
-    }
-    return out;
+    return join(values, ',', format_exact);
 }
 
-std::vector<std::string> split(const std::string& text, char sep) {
-    std::vector<std::string> parts;
-    std::string token;
-    std::stringstream stream(text);
-    while (std::getline(stream, token, sep)) parts.push_back(token);
-    return parts;
+std::optional<std::vector<int>> parse_ints(std::string_view text) {
+    return parse_list(text, ',', [](std::string_view v) { return parse_int<int>(v); });
 }
 
-std::string trim(const std::string& text) {
-    const auto begin = text.find_first_not_of(" \t\r");
-    if (begin == std::string::npos) return "";
-    const auto end = text.find_last_not_of(" \t\r");
-    return text.substr(begin, end - begin + 1);
+std::optional<std::vector<double>> parse_doubles(std::string_view text) {
+    return parse_list(text, ',', parse_double);
 }
 
-std::optional<double> parse_double(const std::string& text) {
-    if (text.empty()) return std::nullopt;
-    char* end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size()) return std::nullopt;
-    return v;
+std::optional<std::vector<std::vector<CoreId>>> parse_groups(std::string_view text) {
+    return parse_list(text, ';', [](std::string_view group) {
+        auto cores = parse_ints(group);
+        return cores && !cores->empty() ? cores : std::nullopt;
+    });
 }
 
-std::optional<long long> parse_int(const std::string& text) {
-    if (text.empty()) return std::nullopt;
-    char* end = nullptr;
-    const long long v = std::strtoll(text.c_str(), &end, 10);
-    if (end != text.c_str() + text.size()) return std::nullopt;
-    return v;
-}
-
-std::optional<std::vector<std::vector<CoreId>>> parse_groups(const std::string& text) {
-    std::vector<std::vector<CoreId>> groups;
-    if (text.empty()) return groups;
-    for (const std::string& group_text : split(text, ';')) {
-        std::vector<CoreId> group;
-        for (const std::string& core_text : split(group_text, ',')) {
-            const auto core = parse_int(core_text);
-            if (!core) return std::nullopt;
-            group.push_back(static_cast<CoreId>(*core));
-        }
-        if (group.empty()) return std::nullopt;
-        groups.push_back(std::move(group));
-    }
-    return groups;
-}
-
-std::optional<std::vector<CorePair>> parse_pairs(const std::string& text) {
-    std::vector<CorePair> pairs;
-    if (text.empty()) return pairs;
-    for (const std::string& pair_text : split(text, ';')) {
-        const auto dash = pair_text.find('-');
-        if (dash == std::string::npos) return std::nullopt;
-        const auto a = parse_int(pair_text.substr(0, dash));
-        const auto b = parse_int(pair_text.substr(dash + 1));
+std::optional<std::vector<CorePair>> parse_pairs(std::string_view text) {
+    return parse_list(text, ';', [](std::string_view pair) -> std::optional<CorePair> {
+        const auto dash = pair.find('-');
+        if (dash == std::string_view::npos) return std::nullopt;
+        const auto a = parse_int<CoreId>(pair.substr(0, dash));
+        const auto b = parse_int<CoreId>(pair.substr(dash + 1));
         if (!a || !b) return std::nullopt;
-        pairs.push_back({static_cast<CoreId>(*a), static_cast<CoreId>(*b)});
-    }
-    return pairs;
+        return CorePair{*a, *b};
+    });
 }
 
-std::optional<std::vector<std::pair<Bytes, Seconds>>> parse_curve(const std::string& text) {
-    std::vector<std::pair<Bytes, Seconds>> curve;
-    if (text.empty()) return curve;
-    for (const std::string& point_text : split(text, ';')) {
-        const auto colon = point_text.find(':');
-        if (colon == std::string::npos) return std::nullopt;
-        const auto size = parse_int(point_text.substr(0, colon));
-        const auto latency = parse_double(point_text.substr(colon + 1));
-        if (!size || *size < 0 || !latency) return std::nullopt;
-        curve.emplace_back(static_cast<Bytes>(*size), *latency);
-    }
-    return curve;
-}
-
-std::optional<std::vector<int>> parse_ints(const std::string& text) {
-    std::vector<int> values;
-    if (text.empty()) return values;
-    for (const std::string& value_text : split(text, ',')) {
-        const auto v = parse_int(value_text);
-        if (!v) return std::nullopt;
-        values.push_back(static_cast<int>(*v));
-    }
-    return values;
-}
-
-std::optional<std::vector<double>> parse_doubles(const std::string& text) {
-    std::vector<double> values;
-    if (text.empty()) return values;
-    for (const std::string& value_text : split(text, ',')) {
-        const auto v = parse_double(value_text);
-        if (!v) return std::nullopt;
-        values.push_back(*v);
-    }
-    return values;
+std::optional<std::vector<std::pair<Bytes, Seconds>>> parse_curve(std::string_view text) {
+    return parse_list(
+        text, ';', [](std::string_view point) -> std::optional<std::pair<Bytes, Seconds>> {
+            const auto colon = point.find(':');
+            if (colon == std::string_view::npos) return std::nullopt;
+            const auto size = parse_int<Bytes>(point.substr(0, colon));
+            const auto latency = parse_double(point.substr(colon + 1));
+            if (!size || !latency) return std::nullopt;
+            return std::pair{*size, *latency};
+        });
 }
 
 }  // namespace
@@ -315,49 +223,14 @@ std::optional<BytesPerSecond> Profile::memory_bandwidth_at(std::size_t tier, int
 
 namespace {
 
-std::string json_escape(const std::string& text) {
-    std::string out;
-    out.reserve(text.size() + 2);
-    for (char c : text) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
-
 std::string json_groups(const std::vector<std::vector<CoreId>>& groups) {
-    std::string out = "[";
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-        if (g) out += ",";
-        out += "[";
-        for (std::size_t i = 0; i < groups[g].size(); ++i) {
-            if (i) out += ",";
-            out += std::to_string(groups[g][i]);
-        }
-        out += "]";
-    }
-    return out + "]";
+    return '[' + join(groups, ',', [](const std::vector<CoreId>& group) {
+               return '[' + fmt_ints(group) + ']';
+           }) + ']';
 }
 
 std::string json_doubles(const std::vector<double>& values) {
-    std::string out = "[";
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i) out += ",";
-        out += fmt_double(values[i]);
-    }
-    return out + "]";
+    return '[' + fmt_doubles(values) + ']';
 }
 
 }  // namespace
@@ -389,13 +262,13 @@ std::string Profile::to_json() const {
     out += caches.empty() ? "],\n" : "\n  ],\n";
 
     out += "  \"memory\": {\"reference_bandwidth\": ";
-    out += fmt_double(memory.reference_bandwidth);
+    out += format_exact(memory.reference_bandwidth);
     out += ", \"tiers\": [";
     for (std::size_t t = 0; t < memory.tiers.size(); ++t) {
         const auto& tier = memory.tiers[t];
         if (t) out += ",";
         out += "\n    {\"bandwidth\": ";
-        out += fmt_double(tier.bandwidth);
+        out += format_exact(tier.bandwidth);
         out += ", \"groups\": ";
         out += json_groups(tier.groups);
         out += ", \"scalability\": ";
@@ -409,7 +282,7 @@ std::string Profile::to_json() const {
         const auto& layer = comm[l];
         if (l) out += ",";
         out += "\n    {\"latency\": ";
-        out += fmt_double(layer.latency);
+        out += format_exact(layer.latency);
         out += ", \"pairs\": [";
         for (std::size_t p = 0; p < layer.pairs.size(); ++p) {
             if (p) out += ",";
@@ -425,7 +298,7 @@ std::string Profile::to_json() const {
             out += "[";
             out += std::to_string(layer.p2p[p].first);
             out += ",";
-            out += fmt_double(layer.p2p[p].second);
+            out += format_exact(layer.p2p[p].second);
             out += "]";
         }
         out += "], \"slowdown\": ";
@@ -470,7 +343,7 @@ std::string Profile::to_json() const {
         out += "\"";
         out += json_escape(phase);
         out += "\": ";
-        out += fmt_double(seconds);
+        out += format_exact(seconds);
     }
     out += "},\n";
 
@@ -515,17 +388,17 @@ std::string Profile::serialize() const {
     }
 
     out += "\n[memory]\n";
-    out += "reference = " + fmt_double(memory.reference_bandwidth) + '\n';
+    out += "reference = " + format_exact(memory.reference_bandwidth) + '\n';
     for (std::size_t i = 0; i < memory.tiers.size(); ++i) {
         out += "\n[memory-tier " + std::to_string(i) + "]\n";
-        out += "bandwidth = " + fmt_double(memory.tiers[i].bandwidth) + '\n';
+        out += "bandwidth = " + format_exact(memory.tiers[i].bandwidth) + '\n';
         out += "groups = " + fmt_groups(memory.tiers[i].groups) + '\n';
         out += "scalability = " + fmt_doubles(memory.tiers[i].scalability) + '\n';
     }
 
     for (std::size_t i = 0; i < comm.size(); ++i) {
         out += "\n[comm-layer " + std::to_string(i) + "]\n";
-        out += "latency = " + fmt_double(comm[i].latency) + '\n';
+        out += "latency = " + format_exact(comm[i].latency) + '\n';
         out += "pairs = " + fmt_pairs(comm[i].pairs) + '\n';
         out += "p2p = " + fmt_curve(comm[i].p2p) + '\n';
         out += "slowdown = " + fmt_doubles(comm[i].slowdown) + '\n';
@@ -550,7 +423,7 @@ std::string Profile::serialize() const {
     if (!phase_seconds.empty()) {
         out += "\n[timing]\n";
         for (const auto& [phase, seconds] : phase_seconds)
-            out += phase + " = " + fmt_double(seconds) + '\n';
+            out += phase + " = " + format_exact(seconds) + '\n';
     }
 
     if (!counters.empty()) {
@@ -574,9 +447,8 @@ std::string Profile::serialize() const {
 }
 
 std::optional<Profile> Profile::parse(const std::string& text) {
-    std::stringstream stream(text);
-    std::string line;
-    if (!std::getline(stream, line) || trim(line) != kHeader) return std::nullopt;
+    const std::vector<std::string_view> lines = split(text, '\n');
+    if (lines.empty() || trim(lines.front()) != kHeader) return std::nullopt;
 
     Profile profile;
     enum class Section {
@@ -584,13 +456,13 @@ std::optional<Profile> Profile::parse(const std::string& text) {
     };
     Section section = Section::Top;
 
-    while (std::getline(stream, line)) {
-        line = trim(line);
+    for (std::size_t n = 1; n < lines.size(); ++n) {
+        const std::string_view line = trim(lines[n]);
         if (line.empty() || line.front() == '#') continue;
 
         if (line.front() == '[') {
             if (line.back() != ']') return std::nullopt;
-            const std::string name = trim(line.substr(1, line.size() - 2));
+            const std::string_view name = trim(line.substr(1, line.size() - 2));
             if (name.starts_with("cache ")) {
                 section = Section::Cache;
                 profile.caches.emplace_back();
@@ -620,9 +492,9 @@ std::optional<Profile> Profile::parse(const std::string& text) {
         }
 
         const auto eq = line.find('=');
-        if (eq == std::string::npos) return std::nullopt;
-        const std::string key = trim(line.substr(0, eq));
-        const std::string value = trim(line.substr(eq + 1));
+        if (eq == std::string_view::npos) return std::nullopt;
+        const std::string key(trim(line.substr(0, eq)));
+        const std::string value(trim(line.substr(eq + 1)));
 
         const auto fail = [] { return std::optional<Profile>{}; };
         switch (section) {
@@ -630,13 +502,13 @@ std::optional<Profile> Profile::parse(const std::string& text) {
                 if (key == "machine") {
                     profile.machine = value;
                 } else if (key == "cores") {
-                    const auto v = parse_int(value);
+                    const auto v = parse_int<int>(value);
                     if (!v) return fail();
-                    profile.cores = static_cast<int>(*v);
+                    profile.cores = *v;
                 } else if (key == "page_size") {
-                    const auto v = parse_int(value);
-                    if (!v || *v < 0) return fail();
-                    profile.page_size = static_cast<Bytes>(*v);
+                    const auto v = parse_int<Bytes>(value);
+                    if (!v) return fail();
+                    profile.page_size = *v;
                 } else {
                     return fail();
                 }
@@ -645,9 +517,9 @@ std::optional<Profile> Profile::parse(const std::string& text) {
             case Section::Cache: {
                 ProfileCacheLevel& cache = profile.caches.back();
                 if (key == "size") {
-                    const auto v = parse_int(value);
-                    if (!v || *v < 0) return fail();
-                    cache.size = static_cast<Bytes>(*v);
+                    const auto v = parse_int<Bytes>(value);
+                    if (!v) return fail();
+                    cache.size = *v;
                 } else if (key == "method") {
                     cache.method = value;
                 } else if (key == "groups") {
@@ -715,9 +587,9 @@ std::optional<Profile> Profile::parse(const std::string& text) {
                 if (key == "kind") {
                     profile.topology.kind = value;
                 } else if (key == "cores_per_node") {
-                    const auto v = parse_int(value);
+                    const auto v = parse_int<int>(value);
                     if (!v || *v < 1) return fail();
-                    profile.topology.cores_per_node = static_cast<int>(*v);
+                    profile.topology.cores_per_node = *v;
                 } else if (key == "dims") {
                     const auto v = parse_ints(value);
                     if (!v) return fail();
@@ -733,14 +605,14 @@ std::optional<Profile> Profile::parse(const std::string& text) {
                     tier.name = value;
                     break;
                 }
-                const auto v = parse_int(value);
+                const auto v = parse_int<int>(value);
                 if (!v || *v < 0) return fail();
                 if (key == "tier") {
-                    tier.tier = static_cast<int>(*v);
+                    tier.tier = *v;
                 } else if (key == "hops") {
-                    tier.hops = static_cast<int>(*v);
+                    tier.hops = *v;
                 } else if (key == "layer") {
-                    tier.layer = static_cast<int>(*v);
+                    tier.layer = *v;
                 } else {
                     return fail();
                 }
@@ -753,9 +625,9 @@ std::optional<Profile> Profile::parse(const std::string& text) {
                 break;
             }
             case Section::Counters: {
-                const auto v = parse_int(value);
-                if (!v || *v < 0) return fail();
-                profile.counters[key] = static_cast<std::uint64_t>(*v);
+                const auto v = parse_int<std::uint64_t>(value);
+                if (!v) return fail();
+                profile.counters[key] = *v;
                 break;
             }
             case Section::Errors: {

@@ -5,13 +5,10 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 #include "base/check.hpp"
 #include "base/fs.hpp"
+#include "base/text.hpp"
 #include "obs/metrics.hpp"
 
 namespace servet::exec {
@@ -34,17 +31,11 @@ obs::Counter& store_counter() {
     return c;
 }
 
-std::string fmt_hexfloat(double v) {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%a", v);
-    return buf;
-}
-
 std::string format_record(const std::string& key, const std::vector<double>& values) {
     std::string line = key + ' ' + std::to_string(values.size());
     for (const double v : values) {
         line += ' ';
-        line += fmt_hexfloat(v);
+        line += format_hexfloat(v);
     }
     line += '\n';
     return line;
@@ -156,35 +147,30 @@ MemoLoad MemoCache::load_file(const std::string& path, MemoLoadMode mode) {
     if (mode == MemoLoadMode::TornTailOk && !text.empty() && text.back() != '\n')
         text.erase(text.find_last_of('\n') + 1);
 
-    std::istringstream in(text);
-    std::string line;
-    if (!std::getline(in, line) || line != kHeader) return MemoLoad::Malformed;
+    const std::vector<std::string_view> lines = split(text, '\n');
+    if (lines.empty() || lines.front() != kHeader) return MemoLoad::Malformed;
 
     std::map<std::string, std::vector<double>> loaded;
-    bool torn = false;
-    while (!torn && std::getline(in, line)) {
-        if (line.empty()) continue;
-        std::istringstream fields(line);
-        std::string key;
-        std::size_t count = 0;
+    for (std::size_t l = 1; l < lines.size(); ++l) {
+        if (lines[l].empty()) continue;
+        // "<key> <count> <value>...": the count must match the values the
+        // line actually carries before anything is sized by it.
+        const std::vector<std::string_view> fields = split(lines[l], ' ');
+        const auto count =
+            fields.size() >= 2 ? parse_int<std::size_t>(fields[1]) : std::nullopt;
+        bool ok = !fields[0].empty() && count && *count == fields.size() - 2;
         std::vector<double> values;
-        std::string token;
-        bool ok = static_cast<bool>(fields >> key >> count);
-        values.reserve(ok ? count : 0);
-        for (std::size_t i = 0; ok && i < count; ++i) {
-            ok = static_cast<bool>(fields >> token);
-            if (!ok) break;
-            char* end = nullptr;
-            const double v = std::strtod(token.c_str(), &end);
-            ok = end != token.c_str() && *end == '\0';
-            if (ok) values.push_back(v);
+        if (ok) values.reserve(*count);
+        for (std::size_t i = 2; ok && i < fields.size(); ++i) {
+            const std::optional<double> v = parse_double(fields[i]);
+            ok = v.has_value();
+            if (ok) values.push_back(*v);
         }
         if (!ok) {
             if (mode == MemoLoadMode::Strict) return MemoLoad::Malformed;
-            torn = true;  // keep the valid prefix; the rest is a crash's tail
-            break;
+            break;  // keep the valid prefix; the rest is a crash's tail
         }
-        loaded.emplace(std::move(key), std::move(values));
+        loaded.emplace(std::string(fields[0]), std::move(values));
     }
 
     std::lock_guard<std::mutex> lock(mutex_);

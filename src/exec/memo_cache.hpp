@@ -9,8 +9,8 @@
 //   <key> <count> <v0> <v1> ...
 //
 // one record per line; keys contain no whitespace; values are C hexfloats
-// ("%a"), which round-trip doubles exactly — byte-identical results are
-// the whole point.
+// (base/text.hpp), which round-trip doubles exactly — byte-identical
+// results are the whole point.
 #pragma once
 
 #include <cstdint>

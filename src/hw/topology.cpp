@@ -1,53 +1,37 @@
 #include "hw/topology.hpp"
 
-#include <charconv>
+#include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
+
+#include "base/text.hpp"
 
 namespace servet::hw {
 
 std::optional<std::vector<CoreId>> parse_cpulist(const std::string& text) {
     std::vector<CoreId> cores;
-    std::stringstream stream(text);
-    std::string token;
-    while (std::getline(stream, token, ',')) {
-        // Trim whitespace/newline.
-        while (!token.empty() && (token.back() == '\n' || token.back() == ' '))
-            token.pop_back();
-        while (!token.empty() && token.front() == ' ') token.erase(token.begin());
+    for (const std::string_view field : split(text, ',')) {
+        const std::string_view token = trim(field);
         if (token.empty()) continue;
-
         const auto dash = token.find('-');
-        int lo = 0, hi = 0;
-        if (dash == std::string::npos) {
-            const auto [p, ec] = std::from_chars(token.data(), token.data() + token.size(), lo);
-            if (ec != std::errc{} || p != token.data() + token.size()) return std::nullopt;
-            hi = lo;
-        } else {
-            const std::string a = token.substr(0, dash);
-            const std::string b = token.substr(dash + 1);
-            const auto [pa, ea] = std::from_chars(a.data(), a.data() + a.size(), lo);
-            const auto [pb, eb] = std::from_chars(b.data(), b.data() + b.size(), hi);
-            if (ea != std::errc{} || eb != std::errc{} || pa != a.data() + a.size() ||
-                pb != b.data() + b.size() || hi < lo)
-                return std::nullopt;
-        }
-        for (int c = lo; c <= hi; ++c) cores.push_back(c);
+        const auto lo = parse_int<CoreId>(token.substr(0, dash));
+        const auto hi = dash == std::string_view::npos ? lo
+                                                       : parse_int<CoreId>(token.substr(dash + 1));
+        if (!lo || !hi || *hi < *lo) return std::nullopt;
+        for (CoreId c = *lo; c <= *hi; ++c) cores.push_back(c);
     }
     if (cores.empty()) return std::nullopt;
     return cores;
 }
 
 std::optional<Bytes> parse_sysfs_size(const std::string& text) {
-    if (text.empty()) return std::nullopt;
-    std::size_t pos = 0;
-    unsigned long long value = 0;
-    const auto [p, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc{}) return std::nullopt;
-    pos = static_cast<std::size_t>(p - text.data());
+    const std::size_t digits = std::min(text.find_first_not_of("0123456789"), text.size());
+    const auto value = parse_int<Bytes>(std::string_view(text).substr(0, digits));
+    if (!value) return std::nullopt;
     Bytes factor = 1;
-    if (pos < text.size()) {
-        switch (text[pos]) {
+    if (digits < text.size()) {
+        switch (text[digits]) {
             case 'K': case 'k': factor = KiB; break;
             case 'M': case 'm': factor = MiB; break;
             case 'G': case 'g': factor = GiB; break;
@@ -55,7 +39,8 @@ std::optional<Bytes> parse_sysfs_size(const std::string& text) {
             default: return std::nullopt;
         }
     }
-    return static_cast<Bytes>(value) * factor;
+    if (*value > std::numeric_limits<Bytes>::max() / factor) return std::nullopt;
+    return *value * factor;
 }
 
 namespace {
@@ -73,14 +58,9 @@ namespace {
 /// the endptr-checked parsers above. An unparsable or non-positive level
 /// means the index is garbage, not a level-0 cache.
 std::optional<int> parse_sysfs_level(const std::string& text) {
-    std::string trimmed = text;
-    while (!trimmed.empty() && (trimmed.back() == '\n' || trimmed.back() == ' '))
-        trimmed.pop_back();
-    int level = 0;
-    const auto [p, ec] =
-        std::from_chars(trimmed.data(), trimmed.data() + trimmed.size(), level);
-    if (ec != std::errc{} || p != trimmed.data() + trimmed.size() || level < 1)
-        return std::nullopt;
+    const auto level =
+        parse_int<int>(std::string_view(text).substr(0, text.find_last_not_of("\n ") + 1));
+    if (!level || *level < 1) return std::nullopt;
     return level;
 }
 }  // namespace

@@ -5,10 +5,10 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <fstream>
 
 #include "base/check.hpp"
+#include "base/text.hpp"
 
 namespace servet::obs {
 
@@ -77,12 +77,6 @@ std::map<std::string, std::uint64_t> Registry::stable_counters() const {
 
 namespace {
 
-std::string fmt_bound(double v) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
 void append_counters(std::string& out, const std::vector<std::pair<std::string, std::uint64_t>>& items) {
     out += "\"counters\": {";
     for (std::size_t i = 0; i < items.size(); ++i) {
@@ -101,7 +95,7 @@ void append_histograms(std::string& out,
         out += '"' + items[i].first + "\": {\"bounds\": [";
         for (std::size_t b = 0; b < h.bounds().size(); ++b) {
             if (b) out += ", ";
-            out += fmt_bound(h.bounds()[b]);
+            out += format_exact(h.bounds()[b]);
         }
         out += "], \"counts\": [";
         const std::vector<std::uint64_t> counts = h.counts();
@@ -221,9 +215,8 @@ Histogram& histogram(const std::string& name, Stability stability,
 }
 
 std::string Registry::series_line(std::uint64_t tick, std::uint64_t fingerprint) const {
-    char hex[17];
-    std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(fingerprint));
-    return "{\"tick\": " + std::to_string(tick) + ", \"fingerprint\": \"" + hex +
+    return "{\"tick\": " + std::to_string(tick) + ", \"fingerprint\": \"" +
+           format_hex64(fingerprint) +
            "\", \"metrics\": " + deterministic_json() + '}';
 }
 

@@ -1,10 +1,9 @@
 #include "platform/platform_file.hpp"
 
-#include <cstdlib>
-#include <sstream>
 #include <vector>
 
 #include "base/fs.hpp"
+#include "base/text.hpp"
 #include "sim/topology.hpp"
 #include "sim/zoo.hpp"
 
@@ -14,50 +13,19 @@ namespace {
 
 constexpr const char* kHeader = "servet-platform 1";
 
-std::string trim(const std::string& text) {
-    const auto begin = text.find_first_not_of(" \t\r");
-    if (begin == std::string::npos) return "";
-    const auto end = text.find_last_not_of(" \t\r");
-    return text.substr(begin, end - begin + 1);
-}
-
-std::vector<std::string> split(const std::string& text, char sep) {
-    std::vector<std::string> parts;
-    std::string token;
-    std::stringstream stream(text);
-    while (std::getline(stream, token, sep)) parts.push_back(token);
-    return parts;
-}
-
-std::optional<double> parse_double(const std::string& text) {
-    if (text.empty()) return std::nullopt;
-    char* end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size()) return std::nullopt;
-    return v;
-}
-
-std::optional<long long> parse_int(const std::string& text) {
-    if (text.empty()) return std::nullopt;
-    char* end = nullptr;
-    const long long v = std::strtoll(text.c_str(), &end, 10);
-    if (end != text.c_str() + text.size()) return std::nullopt;
-    return v;
-}
-
 /// "a-b:tier;a-b:tier;..." -> custom link list.
-std::optional<std::vector<sim::TopologyLink>> parse_links(const std::string& text) {
+std::optional<std::vector<sim::TopologyLink>> parse_links(std::string_view text) {
     std::vector<sim::TopologyLink> links;
-    if (text.empty()) return links;
-    for (const std::string& link_text : split(text, ';')) {
-        const auto dash = link_text.find('-');
-        const auto colon = link_text.find(':', dash == std::string::npos ? 0 : dash + 1);
-        if (dash == std::string::npos || colon == std::string::npos) return std::nullopt;
-        const auto a = parse_int(link_text.substr(0, dash));
-        const auto b = parse_int(link_text.substr(dash + 1, colon - dash - 1));
-        const auto tier = parse_int(link_text.substr(colon + 1));
+    for (const std::string_view link : split(text, ';')) {
+        const auto dash = link.find('-');
+        const auto colon = link.find(':', dash == std::string_view::npos ? 0 : dash + 1);
+        if (dash == std::string_view::npos || colon == std::string_view::npos)
+            return std::nullopt;
+        const auto a = parse_int<int>(link.substr(0, dash));
+        const auto b = parse_int<int>(link.substr(dash + 1, colon - dash - 1));
+        const auto tier = parse_int<int>(link.substr(colon + 1));
         if (!a || !b || !tier) return std::nullopt;
-        links.push_back({static_cast<int>(*a), static_cast<int>(*b), static_cast<int>(*tier)});
+        links.push_back({*a, *b, *tier});
     }
     return links;
 }
@@ -82,9 +50,8 @@ std::string code_for_problem(const std::string& problem) {
 }  // namespace
 
 std::optional<sim::MachineSpec> parse_platform(const std::string& text, PlatformError* error) {
-    std::stringstream stream(text);
-    std::string line;
-    if (!std::getline(stream, line) || trim(line) != kHeader)
+    const std::vector<std::string_view> lines = split(text, '\n');
+    if (lines.empty() || trim(lines.front()) != kHeader)
         return fail(error, "platform.header",
                     std::string("first line must be \"") + kHeader + "\"");
 
@@ -101,23 +68,21 @@ std::optional<sim::MachineSpec> parse_platform(const std::string& text, Platform
 
     enum class Section { Top, Topology, Tier };
     Section section = Section::Top;
-    int line_number = 1;
 
-    while (std::getline(stream, line)) {
-        ++line_number;
-        line = trim(line);
+    for (std::size_t n = 1; n < lines.size(); ++n) {
+        const std::string_view line = trim(lines[n]);
         if (line.empty() || line.front() == '#') continue;
-        const std::string at = " (line " + std::to_string(line_number) + ")";
+        const std::string at = " (line " + std::to_string(n + 1) + ")";
 
         if (line.front() == '[') {
             if (line.back() != ']')
                 return fail(error, "platform.syntax", "unterminated section header" + at);
-            const std::string section_name = trim(line.substr(1, line.size() - 2));
+            const std::string section_name(trim(line.substr(1, line.size() - 2)));
             if (section_name == "topology") {
                 section = Section::Topology;
                 saw_topology = true;
             } else if (section_name.starts_with("tier ")) {
-                const auto index = parse_int(trim(section_name.substr(5)));
+                const auto index = parse_int<int>(trim(section_name.substr(5)));
                 if (!index || *index != next_tier)
                     return fail(error, "platform.tiers.count",
                                 "tier sections must be contiguous from [tier 0]; got [" +
@@ -133,10 +98,10 @@ std::optional<sim::MachineSpec> parse_platform(const std::string& text, Platform
         }
 
         const auto eq = line.find('=');
-        if (eq == std::string::npos)
+        if (eq == std::string_view::npos)
             return fail(error, "platform.syntax", "expected key = value" + at);
-        const std::string key = trim(line.substr(0, eq));
-        const std::string value = trim(line.substr(eq + 1));
+        const std::string key(trim(line.substr(0, eq)));
+        const std::string value(trim(line.substr(eq + 1)));
         const auto bad_field = [&] {
             return fail(error, "platform.field",
                         "bad value for " + key + ": \"" + value + "\"" + at);
@@ -148,15 +113,15 @@ std::optional<sim::MachineSpec> parse_platform(const std::string& text, Platform
                     if (value.empty()) return bad_field();
                     name = value;
                 } else if (key == "cores_per_node") {
-                    const auto v = parse_int(value);
+                    const auto v = parse_int<int>(value);
                     if (!v || *v < 1 || *v > 1024) return bad_field();
-                    cores_per_node = static_cast<int>(*v);
+                    cores_per_node = *v;
                 } else if (key == "seed") {
-                    const auto v = parse_int(value);
-                    if (!v || *v < 0) return bad_field();
-                    seed = static_cast<std::uint64_t>(*v);
+                    const auto v = parse_int<std::uint64_t>(value);
+                    if (!v) return bad_field();
+                    seed = *v;
                 } else if (key == "jitter") {
-                    const auto v = parse_double(value);
+                    const auto v = parse_finite(value);
                     if (!v || *v < 0 || *v >= 0.5) return bad_field();
                     jitter = *v;
                 } else {
@@ -166,9 +131,9 @@ std::optional<sim::MachineSpec> parse_platform(const std::string& text, Platform
             }
             case Section::Topology: {
                 const auto int_field = [&](int* out) {
-                    const auto v = parse_int(value);
+                    const auto v = parse_int<int>(value);
                     if (!v || *v < 0 || *v > (1 << 22)) return false;
-                    *out = static_cast<int>(*v);
+                    *out = *v;
                     return true;
                 };
                 if (key == "kind") {
@@ -182,10 +147,10 @@ std::optional<sim::MachineSpec> parse_platform(const std::string& text, Platform
                     if (!int_field(&topology.levels)) return bad_field();
                 } else if (key == "dims") {
                     topology.dims.clear();
-                    for (const std::string& dim_text : split(value, ',')) {
-                        const auto v = parse_int(trim(dim_text));
+                    for (const std::string_view dim : split(value, ',')) {
+                        const auto v = parse_int<int>(trim(dim));
                         if (!v || *v < 1) return bad_field();
-                        topology.dims.push_back(static_cast<int>(*v));
+                        topology.dims.push_back(*v);
                     }
                     if (topology.dims.empty()) return bad_field();
                 } else if (key == "groups") {
@@ -212,15 +177,15 @@ std::optional<sim::MachineSpec> parse_platform(const std::string& text, Platform
                 if (key == "name") {
                     tier.name = value;
                 } else if (key == "hop_latency") {
-                    const auto v = parse_double(value);
+                    const auto v = parse_finite(value);
                     if (!v || *v < 0) return bad_field();
                     tier.hop_latency = *v;
                 } else if (key == "bandwidth") {
-                    const auto v = parse_double(value);
+                    const auto v = parse_finite(value);
                     if (!v || *v <= 0) return bad_field();
                     tier.bandwidth = *v;
                 } else if (key == "congestion") {
-                    const auto v = parse_double(value);
+                    const auto v = parse_finite(value);
                     if (!v || *v < 0) return bad_field();
                     tier.congestion_exponent = *v;
                 } else {

@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -17,6 +16,7 @@
 #include <utility>
 
 #include "base/rng.hpp"
+#include "base/text.hpp"
 
 namespace servet::serve {
 
@@ -224,13 +224,9 @@ bool retryable(const std::string& code) {
 /// Seconds from a Retry-After header (delta-seconds form only), or -1.
 double parse_retry_after(const HttpResponse& response) {
     const std::string* value = response.header("retry-after");
-    if (value == nullptr || value->empty()) return -1.0;
-    double seconds = 0;
-    const auto [end, ec] =
-        std::from_chars(value->data(), value->data() + value->size(), seconds);
-    if (ec != std::errc{} || end != value->data() + value->size() || seconds < 0)
-        return -1.0;
-    return seconds;
+    if (value == nullptr) return -1.0;
+    const auto seconds = parse_finite(*value);
+    return seconds && *seconds >= 0 ? *seconds : -1.0;
 }
 
 }  // namespace

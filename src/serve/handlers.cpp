@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "base/text.hpp"
+
 namespace servet::serve {
 
 namespace {
@@ -11,12 +13,8 @@ constexpr const char* kProfileContentType = "text/x-servet-profile";
 /// Splits a path into non-empty segments ("/v1/profile/a" -> v1,profile,a).
 std::vector<std::string> segments_of(const std::string& path) {
     std::vector<std::string> segments;
-    std::size_t pos = 1;  // path always starts with '/'
-    while (pos <= path.size()) {
-        const std::size_t slash = std::min(path.find('/', pos), path.size());
-        if (slash > pos) segments.push_back(path.substr(pos, slash - pos));
-        pos = slash + 1;
-    }
+    for (const std::string_view segment : split(path, '/'))
+        if (!segment.empty()) segments.emplace_back(segment);
     return segments;
 }
 
@@ -31,21 +29,6 @@ bool constant_time_equals(const std::string& a, const std::string& b) {
     return diff == 0;
 }
 
-std::string json_escape(const std::string& text) {
-    std::string out;
-    for (const char c : text) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            out += ' ';
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
-
 }  // namespace
 
 Response error_response(int status, std::string_view code, std::string_view message) {
@@ -53,7 +36,7 @@ Response error_response(int status, std::string_view code, std::string_view mess
     response.status = status;
     response.content_type = "application/json";
     response.body = "{\"error\": \"" + std::string(code) + "\", \"message\": \"" +
-                    json_escape(std::string(message)) + "\"}\n";
+                    json_escape(message) + "\"}\n";
     return response;
 }
 

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
+
+#include "base/text.hpp"
 
 namespace servet::serve {
 
@@ -13,15 +14,6 @@ std::string to_lower(std::string_view text) {
     std::transform(out.begin(), out.end(), out.begin(),
                    [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
     return out;
-}
-
-std::string_view trim(std::string_view text) {
-    while (!text.empty() && (text.front() == ' ' || text.front() == '\t'))
-        text.remove_prefix(1);
-    while (!text.empty() && (text.back() == ' ' || text.back() == '\t' ||
-                             text.back() == '\r'))
-        text.remove_suffix(1);
-    return text;
 }
 
 /// A method token per RFC 9110: at least one tchar; the service only ever
@@ -191,18 +183,16 @@ bool HttpParser::parse_head(std::string_view head) {
     }
     body_remaining_ = 0;
     if (const std::string* length = pending_.header("content-length")) {
-        std::size_t value = 0;
-        const auto [end, ec] =
-            std::from_chars(length->data(), length->data() + length->size(), value);
-        if (ec != std::errc{} || end != length->data() + length->size()) {
+        const auto value = parse_int<std::size_t>(*length);
+        if (!value) {
             fail(400, "malformed content-length");
             return false;
         }
-        if (value > limits_.max_body_bytes) {
+        if (*value > limits_.max_body_bytes) {
             fail(413, "body exceeds " + std::to_string(limits_.max_body_bytes) + " bytes");
             return false;
         }
-        body_remaining_ = value;
+        body_remaining_ = *value;
     }
 
     pending_.keep_alive = pending_.version_minor >= 1;
@@ -315,14 +305,12 @@ bool HttpResponseParser::parse_head(std::string_view head) {
     const std::string_view rest = trim(status_line.substr(sp1 + 1));
     const std::size_t sp2 = std::min(rest.find(' '), rest.size());
     const std::string_view code = rest.substr(0, sp2);
-    int status = 0;
-    const auto [end, ec] = std::from_chars(code.data(), code.data() + code.size(), status);
-    if (ec != std::errc{} || end != code.data() + code.size() || status < 100 ||
-        status > 599) {
+    const auto status = parse_int<int>(code);
+    if (!status || *status < 100 || *status > 599) {
         fail("malformed status code");
         return false;
     }
-    response_.status = status;
+    response_.status = *status;
     if (sp2 < rest.size()) response_.reason = std::string(trim(rest.substr(sp2 + 1)));
 
     // Header lines — same grammar as requests.
@@ -359,18 +347,16 @@ bool HttpResponseParser::parse_head(std::string_view head) {
     until_eof_ = false;
     if (!bodiless) {
         if (const std::string* length = response_.header("content-length")) {
-            std::size_t value = 0;
-            const auto [lend, lec] =
-                std::from_chars(length->data(), length->data() + length->size(), value);
-            if (lec != std::errc{} || lend != length->data() + length->size()) {
+            const auto value = parse_int<std::size_t>(*length);
+            if (!value) {
                 fail("malformed content-length");
                 return false;
             }
-            if (value > limits_.max_body_bytes) {
+            if (*value > limits_.max_body_bytes) {
                 fail("body exceeds " + std::to_string(limits_.max_body_bytes) + " bytes");
                 return false;
             }
-            body_remaining_ = value;
+            body_remaining_ = *value;
         } else {
             until_eof_ = true;
         }

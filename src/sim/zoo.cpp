@@ -440,6 +440,30 @@ MachineSpec dragonfly_cluster(int groups, int routers, int nodes_per_router, int
     return m;
 }
 
+namespace {
+
+constexpr Entry kCatalog[] = {
+    {"dunnington", [] { return dunnington(); }, "4x Xeon E7450, shared L2 pairs + L3 packages"},
+    {"finis-terrae", [] { return finis_terrae(); },
+     "HP RX7640 node, Itanium2, cells + shared buses"},
+    {"finis-terrae-2n", [] { return finis_terrae(2); }, "two RX7640 nodes over InfiniBand"},
+    {"dempsey", dempsey, "Xeon 5060, the smeared-L2 case of Fig. 2"},
+    {"athlon3200", athlon3200, "unicore AMD Athlon"},
+    {"nehalem2s", nehalem2s, "post-paper control: 2-socket NUMA with shared L3"},
+    {"ft-small", fat_tree_small, "cluster: arity-2/2-level fat-tree, 4 dual-core nodes"},
+    {"torus4x4", torus4x4, "cluster: 4x4 torus of unicore nodes"},
+    {"ft1024", [] { return fat_tree_cluster(3); },
+     "cluster: arity-4/3-level fat-tree, 64 16-core nodes"},
+    {"ft4096", [] { return fat_tree_cluster(4); },
+     "cluster: arity-4/4-level fat-tree, 256 16-core nodes"},
+    {"df10240", [] { return dragonfly_cluster(10, 8, 8); },
+     "cluster: 10-group dragonfly, 640 16-core nodes"},
+};
+
+}  // namespace
+
+std::span<const Entry> catalog() { return kCatalog; }
+
 MachineSpec synthetic(const SyntheticOptions& options) {
     SERVET_CHECK(options.cores >= 1);
     SERVET_CHECK(options.l2_sharing >= 1 && options.cores % options.l2_sharing == 0);

@@ -7,6 +7,7 @@
 // crossovers), not its absolute numbers.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,6 +75,19 @@ namespace servet::sim::zoo {
 /// nodes (10, 8, 8 -> 10240 ranks, the 10k-rank variant).
 [[nodiscard]] MachineSpec dragonfly_cluster(int groups, int routers, int nodes_per_router,
                                             int cores_per_node = 16);
+
+// ---- the catalog: every named model, as the front ends list them ----
+
+/// One named model: what `--machine` accepts and `servet machines` lists.
+struct Entry {
+    const char* name;
+    MachineSpec (*build)();
+    const char* description;
+};
+
+/// The paper machines, the post-paper control and the cluster entries, in
+/// listing order. Front ends that can also measure this host add "native".
+[[nodiscard]] std::span<const Entry> catalog();
 
 /// Parameters for synthetic test machines.
 struct SyntheticOptions {

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -11,6 +10,7 @@
 #include "base/fs.hpp"
 #include "base/hash.hpp"
 #include "base/log.hpp"
+#include "base/text.hpp"
 #include "core/journal.hpp"
 #include "msg/faulty_network.hpp"
 #include "obs/metrics.hpp"
@@ -21,12 +21,6 @@
 namespace servet::watch {
 
 namespace {
-
-std::string fmt_hexfloat(double v) {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%a", v);
-    return buf;
-}
 
 /// The metrics one tick contributes: the flattened profile plus summary
 /// statistics of the raw mcalibrator curve. The curve statistics matter
@@ -48,12 +42,6 @@ std::map<std::string, double> sample_metrics(const core::SuiteResult& result,
     return metrics;
 }
 
-std::string hex16(std::uint64_t value) {
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(value));
-    return buf;
-}
-
 /// Spool-and-drain publisher: every committed tick first lands as
 /// `<run_dir>/spool/<tick-padded>.sample` (atomic write), then the spool
 /// drains oldest-first through the retrying client. Padding the tick to
@@ -67,8 +55,8 @@ class SamplePusher {
                  std::uint64_t fingerprint, std::uint64_t options_hash)
         : push_(push),
           spool_dir_(run_dir + "/spool"),
-          fp_key_(hex16(fingerprint)),
-          opts_key_(hex16(options_hash)) {}
+          fp_key_(format_hex64(fingerprint)),
+          opts_key_(format_hex64(options_hash)) {}
 
     [[nodiscard]] bool enabled() const { return push_.port > 0; }
 
@@ -173,31 +161,18 @@ std::uint64_t watch_options_hash(const WatchOptions& options) {
 std::string encode_sample(const std::map<std::string, double>& metrics) {
     std::string out;
     for (const auto& [name, value] : metrics)
-        out += "metric " + name + ' ' + fmt_hexfloat(value) + '\n';
+        out += "metric " + name + ' ' + format_hexfloat(value) + '\n';
     return out;
 }
 
 std::optional<std::map<std::string, double>> decode_sample(const std::string& text) {
     std::map<std::string, double> out;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        std::size_t nl = text.find('\n', pos);
-        if (nl == std::string::npos) nl = text.size();
-        const std::string line = text.substr(pos, nl - pos);
-        pos = nl + 1;
+    for (const std::string_view line : split(text, '\n')) {
         if (line.empty()) continue;
-        const std::size_t first = line.find(' ');
-        const std::size_t second = line.find(' ', first + 1);
-        if (first == std::string::npos || second == std::string::npos ||
-            line.substr(0, first) != "metric")
-            return std::nullopt;
-        const std::string name = line.substr(first + 1, second - first - 1);
-        const std::string value_text = line.substr(second + 1);
-        char* end = nullptr;
-        const double value = std::strtod(value_text.c_str(), &end);
-        if (value_text.empty() || end != value_text.c_str() + value_text.size())
-            return std::nullopt;
-        if (!out.emplace(name, value).second) return std::nullopt;
+        const std::vector<std::string_view> fields = split(line, ' ');
+        if (fields.size() != 3 || fields[0] != "metric") return std::nullopt;
+        const std::optional<double> value = parse_double(fields[2]);
+        if (!value || !out.emplace(fields[1], *value).second) return std::nullopt;
     }
     return out;
 }

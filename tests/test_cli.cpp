@@ -317,6 +317,20 @@ TEST(PlatformFile, BadFieldValuesAreStable) {
               "platform.field");
     EXPECT_EQ(platform_error_code("servet-platform 1\n[topology]\narity = huge\n"),
               "platform.field");
+    // Non-finite, overflowing and out-of-range numbers are refused where
+    // they stand, before a NaN can slip past a range check.
+    for (const char* value : {"nan", "inf", "1e999"}) {
+        EXPECT_EQ(platform_error_code(std::string("servet-platform 1\n[tier 0]\nhop_latency = ") +
+                                      value + "\n"),
+                  "platform.field")
+            << value;
+        EXPECT_EQ(platform_error_code(std::string("servet-platform 1\njitter = ") + value +
+                                      "\n"),
+                  "platform.field")
+            << value;
+    }
+    EXPECT_EQ(platform_error_code("servet-platform 1\n[topology]\ndims = 4294967298,2\n"),
+              "platform.field");
 }
 
 TEST(PlatformFile, UnknownKindIsStableError) {

@@ -76,6 +76,9 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
     EXPECT_FALSE(FaultPlan::parse("factor=0.5").has_value());    // factor < 1
     EXPECT_FALSE(FaultPlan::parse("spike").has_value());         // no '='
     EXPECT_FALSE(FaultPlan::parse("spike=abc").has_value());     // not a number
+    EXPECT_FALSE(FaultPlan::parse("factor=nan").has_value());    // non-finite
+    EXPECT_FALSE(FaultPlan::parse("spike=nan").has_value());
+    EXPECT_FALSE(FaultPlan::parse("delay_factor=inf").has_value());
 }
 
 TEST(FaultPlan, FingerprintSeparatesPlans) {

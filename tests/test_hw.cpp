@@ -122,6 +122,9 @@ TEST(Topology, ParseSysfsSize) {
     EXPECT_EQ(parse_sysfs_size("64"), 64u);
     EXPECT_FALSE(parse_sysfs_size("").has_value());
     EXPECT_FALSE(parse_sysfs_size("12Q").has_value());
+    // A product past 2^64 bytes is refused, not wrapped to 0.
+    EXPECT_FALSE(parse_sysfs_size("18014398509481984K").has_value());
+    EXPECT_FALSE(parse_sysfs_size("18446744073709551616").has_value());
 }
 
 TEST(Topology, SysfsCachesDoNotCrash) {

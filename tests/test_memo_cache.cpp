@@ -49,6 +49,24 @@ TEST(MemoFile, CorruptValueTokenIsMalformed) {
     std::remove(path.c_str());
 }
 
+TEST(MemoFile, ImpossibleCountIsMalformedAndNeverThrows) {
+    // The count is checked against the values the line carries before
+    // anything is sized by it: a huge or negative count must not reach
+    // an allocation.
+    for (const char* record :
+         {"k -1 0x1p+0\n", "k 18446744073709551615 0x1p+0\n", "k 99999999999 0x1p+0\n",
+          "k 1 0x1p+0 0x1p+1\n", "k 2 0x1p+0\n"}) {
+        const std::string path = testing::TempDir() + "memo_bad_count.txt";
+        write_text(path.c_str(), (std::string("servet-memo 1\n") + record).c_str());
+        MemoCache memo;
+        MemoLoad load = MemoLoad::Loaded;
+        EXPECT_NO_THROW(load = memo.load_file(path)) << record;
+        EXPECT_EQ(load, MemoLoad::Malformed) << record;
+        EXPECT_EQ(memo.size(), 0u) << record;
+        std::remove(path.c_str());
+    }
+}
+
 TEST(MemoFile, HeaderMismatchIsMalformed) {
     const std::string path = testing::TempDir() + "memo_bad_header.txt";
     write_text(path.c_str(), "servet-memo 2\nk 1 0x1p+0\n");  // future version

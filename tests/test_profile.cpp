@@ -87,7 +87,13 @@ INSTANTIATE_TEST_SUITE_P(
                       "servet-profile 1\n[comm-layer 0]\npairs = 1+2",
                       "servet-profile 1\n[comm-layer 0]\np2p = 1024",
                       "servet-profile 1\n[memory]\nreference = fast",
-                      "servet-profile 1\nmachine"));
+                      "servet-profile 1\nmachine",
+                      // Numbers outside their field's type: no wrapping,
+                      // no silent infinity.
+                      "servet-profile 1\n[cache 0]\ngroups = 4294967296,1",
+                      "servet-profile 1\ncores = 4294967298",
+                      "servet-profile 1\n[topology]\ndims = 4294967298,2",
+                      "servet-profile 1\n[comm-layer 0]\nlatency = 1e999"));
 
 TEST(ProfileParse, ToleratesCommentsAndBlankLines) {
     const std::string text =

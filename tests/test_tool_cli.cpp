@@ -248,6 +248,49 @@ TEST(ToolCli, MalformedPlatformFileExitsTwoWithStableCode) {
     std::remove(platform.c_str());
 }
 
+TEST(ToolCli, NonFinitePlatformFieldExitsTwoWithStableCode) {
+    const std::string platform = write_platform(
+        "tool_cli_nan.platform",
+        "servet-platform 1\n"
+        "[topology]\n"
+        "kind = torus\n"
+        "dims = 2,2\n"
+        "[tier 0]\n"
+        "name = link\n"
+        "hop_latency = nan\n"
+        "bandwidth = 1e9\n");
+    const auto result = run_tool("profile --platform " + platform);
+    EXPECT_EQ(result.exit_code, 2) << result.output;
+    EXPECT_NE(result.output.find("platform.field"), std::string::npos) << result.output;
+    std::remove(platform.c_str());
+}
+
+TEST(ToolCli, ImpossibleMemoCountWarnsAndRunsCold) {
+    const std::string platform = write_platform(
+        "tool_cli_memo.platform",
+        "servet-platform 1\n"
+        "[topology]\n"
+        "kind = torus\n"
+        "dims = 2,2\n"
+        "[tier 0]\n"
+        "name = link\n"
+        "hop_latency = 1e-6\n"
+        "bandwidth = 1e9\n");
+    const std::string memo = ::testing::TempDir() + "/tool_cli_bad_count.memo";
+    {
+        std::ofstream out(memo);
+        out << "servet-memo 1\nk 18446744073709551615 0x1p+0\n";
+    }
+    const auto result = run_tool("profile --platform " + platform + " --no-timing --memo " +
+                                 memo + " --out " + profile_path());
+    EXPECT_EQ(result.exit_code, 0) << result.output;
+    EXPECT_NE(result.output.find("ignoring malformed memo file"), std::string::npos)
+        << result.output;
+    EXPECT_EQ(result.output.find("loaded"), std::string::npos) << result.output;
+    std::remove(memo.c_str());
+    std::remove(platform.c_str());
+}
+
 TEST(ToolCli, MissingPlatformFileExitsTwo) {
     const auto result = run_tool("profile --platform /nonexistent.platform");
     EXPECT_EQ(result.exit_code, 2);

@@ -102,35 +102,15 @@ Target make_sim_target(const sim::MachineSpec& spec) {
 }
 
 /// The measurement targets: `--machine` accepts exactly these names and
-/// `servet machines` lists them. `build` is null for the host itself.
-struct Machine {
-    const char* name;
-    sim::MachineSpec (*build)();
-    const char* description;
-};
-
-const Machine kMachines[] = {
-    {"native", nullptr, "this host, measured with pinned threads"},
-    {"dunnington", [] { return sim::zoo::dunnington(); },
-     "4x Xeon E7450, shared L2 pairs + L3 packages"},
-    {"finis-terrae", [] { return sim::zoo::finis_terrae(); },
-     "HP RX7640 node, Itanium2, cells + shared buses"},
-    {"finis-terrae-2n", [] { return sim::zoo::finis_terrae(2); },
-     "two RX7640 nodes over InfiniBand"},
-    {"dempsey", [] { return sim::zoo::dempsey(); }, "Xeon 5060, the smeared-L2 case of Fig. 2"},
-    {"athlon3200", [] { return sim::zoo::athlon3200(); }, "unicore AMD Athlon"},
-    {"nehalem2s", [] { return sim::zoo::nehalem2s(); },
-     "post-paper control: 2-socket NUMA with shared L3"},
-    {"ft-small", [] { return sim::zoo::fat_tree_small(); },
-     "cluster: arity-2/2-level fat-tree, 4 dual-core nodes"},
-    {"torus4x4", [] { return sim::zoo::torus4x4(); }, "cluster: 4x4 torus of unicore nodes"},
-    {"ft1024", [] { return sim::zoo::fat_tree_cluster(3); },
-     "cluster: arity-4/3-level fat-tree, 64 16-core nodes"},
-    {"ft4096", [] { return sim::zoo::fat_tree_cluster(4); },
-     "cluster: arity-4/4-level fat-tree, 256 16-core nodes"},
-    {"df10240", [] { return sim::zoo::dragonfly_cluster(10, 8, 8); },
-     "cluster: 10-group dragonfly, 640 16-core nodes"},
-};
+/// `servet machines` lists them. The host itself comes first, with no
+/// `build`; the zoo catalog follows.
+using Machine = sim::zoo::Entry;
+const std::vector<Machine> kMachines = [] {
+    std::vector<Machine> machines{{"native", nullptr, "this host, measured with pinned threads"}};
+    const std::span<const Machine> catalog = sim::zoo::catalog();
+    machines.insert(machines.end(), catalog.begin(), catalog.end());
+    return machines;
+}();
 
 void add_machine_option(CliParser& cli, const char* default_machine) {
     std::vector<std::string> names;
