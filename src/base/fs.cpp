@@ -44,6 +44,27 @@ bool create_parent_dirs(const std::string& path) {
     return create_directories(parent.string());
 }
 
+bool write_all(int fd, std::string_view bytes) {
+    while (!bytes.empty()) {
+        const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+        if (n < 0) {
+            if (errno == EINTR) continue;
+            return false;
+        }
+        bytes.remove_prefix(static_cast<std::size_t>(n));
+    }
+    return true;
+}
+
+bool append_synced(const std::string& path, std::string_view bytes, bool create) {
+    const int flags = O_WRONLY | O_APPEND | O_CLOEXEC | (create ? O_CREAT : 0);
+    const int fd = ::open(path.c_str(), flags, 0644);
+    if (fd < 0) return false;
+    const bool synced = write_all(fd, bytes) && ::fsync(fd) == 0;
+    ::close(fd);
+    return synced;
+}
+
 bool write_file_atomic(const std::string& path, std::string_view content) {
     // The temp name must be unique per writer: a fixed `path + ".tmp"`
     // lets two concurrent writers open the same temp file and publish a
@@ -62,18 +83,10 @@ bool write_file_atomic(const std::string& path, std::string_view content) {
     }
     if (fd < 0) return false;
 
-    const char* data = content.data();
-    std::size_t remaining = content.size();
-    while (remaining > 0) {
-        const ssize_t n = ::write(fd, data, remaining);
-        if (n < 0) {
-            if (errno == EINTR) continue;
-            ::close(fd);
-            std::remove(tmp.c_str());
-            return false;
-        }
-        data += n;
-        remaining -= static_cast<std::size_t>(n);
+    if (!write_all(fd, content)) {
+        ::close(fd);
+        std::remove(tmp.c_str());
+        return false;
     }
     // The rename must not outrun the data: fsync before the new name can
     // point at the new content, or a crash could expose an empty file

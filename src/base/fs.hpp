@@ -3,8 +3,8 @@
 // of them need is the same: a reader must see either the old complete
 // file or the new complete file, never a torn write — so whole-file saves
 // go through write_file_atomic (tmp sibling + fsync + rename + directory
-// fsync), and growing files append through fd-based writers that the
-// owner fsyncs at commit points.
+// fsync), and growing files append through append_synced, or through
+// write_all on a descriptor their owner keeps open.
 #pragma once
 
 #include <string>
@@ -30,6 +30,16 @@ namespace servet {
 /// writer's complete content. Returns false on any I/O failure, with the
 /// temporary removed.
 [[nodiscard]] bool write_file_atomic(const std::string& path, std::string_view content);
+
+/// Writes all of `bytes` to `fd`: retries on EINTR and continues after a
+/// short write. False on any other write error.
+[[nodiscard]] bool write_all(int fd, std::string_view bytes);
+
+/// Appends `bytes` to `path` and fsyncs them; once this returns true they
+/// survive a crash. With `create`, an absent file is created (mode 0644);
+/// without it, an absent file fails the append — a journal whose file
+/// vanished must not restart as a headerless file.
+[[nodiscard]] bool append_synced(const std::string& path, std::string_view bytes, bool create);
 
 /// Outcome of read_file: distinguishes "nothing there" (routine — first
 /// run) from "there but unreadable" (worth a diagnostic).

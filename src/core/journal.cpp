@@ -1,9 +1,7 @@
 #include "core/journal.hpp"
 
-#include <fcntl.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <optional>
 #include <utility>
 
@@ -184,29 +182,6 @@ void truncate_torn_tail(const std::string& path, std::size_t valid_bytes) {
                          path.c_str(), valid_bytes);
 }
 
-/// Appends `record` to `path` and fsyncs it. The fsync is the commit
-/// point: once it returns, the record survives any crash; a torn write
-/// before it is discarded on load by the length/hash framing.
-bool append_synced(const std::string& path, const std::string& record) {
-    const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
-    if (fd < 0) return false;
-    const char* data = record.data();
-    std::size_t remaining = record.size();
-    while (remaining > 0) {
-        const ssize_t n = ::write(fd, data, remaining);
-        if (n < 0) {
-            if (errno == EINTR) continue;
-            ::close(fd);
-            return false;
-        }
-        data += n;
-        remaining -= static_cast<std::size_t>(n);
-    }
-    const bool synced = ::fsync(fd) == 0;
-    ::close(fd);
-    return synced;
-}
-
 }  // namespace
 
 std::uint64_t suite_options_hash(const SuiteOptions& options) {
@@ -335,7 +310,7 @@ bool RunJournal::append(const std::string& phase, const std::string& payload,
     record += '\n';
     record += "commit " + phase + ' ' + format_hex64(fnv1a64(payload)) + ' ' +
               format_hex64(digest) + '\n';
-    if (!append_synced(path_, record)) return false;
+    if (!append_synced(path_, record, /*create=*/false)) return false;
     records_.insert_or_assign(phase, Record{payload, seconds});
     return true;
 }
@@ -414,7 +389,7 @@ bool SeriesJournal::append(const std::string& payload) {
     record += payload;
     record += '\n';
     record += "commit " + tick + ' ' + format_hex64(fnv1a64(payload)) + '\n';
-    if (!append_synced(path_, record)) return false;
+    if (!append_synced(path_, record, /*create=*/false)) return false;
     samples_.push_back(payload);
     return true;
 }

@@ -90,7 +90,7 @@ class RunJournal {
 
     /// Appends one committed phase record and fsyncs it; `digest` is the
     /// run's current Stable-counter digest, recorded on the commit line
-    /// for forensics. Thread-safe (concurrent DAG phases append through
+    /// for forensics. Thread-safe (concurrent phases append through
     /// one journal). Returns false on I/O failure — the run carries on,
     /// it just loses crash protection for this phase.
     [[nodiscard]] bool append(const std::string& phase, const std::string& payload,

@@ -647,9 +647,12 @@ bool Profile::save(const std::string& path) const {
     return write_file_atomic(path, serialize());
 }
 
-std::optional<Profile> Profile::load(const std::string& path, std::string* diagnostic) {
+std::optional<Profile> Profile::load(const std::string& path, std::string* diagnostic,
+                                     FileRead* read) {
     std::string text;
-    switch (read_file(path, &text)) {
+    const FileRead outcome = read_file(path, &text);
+    if (read != nullptr) *read = outcome;
+    switch (outcome) {
         case FileRead::Absent:
             if (diagnostic != nullptr) *diagnostic = "no such file: " + path;
             return std::nullopt;

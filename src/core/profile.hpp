@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/fs.hpp"
 #include "base/types.hpp"
 
 namespace servet::core {
@@ -163,9 +164,12 @@ class Profile {
 
     /// Read from a file. On nullopt, `diagnostic` (when given) says *why*
     /// — a missing file and a malformed one call for different fixes, so
-    /// the CLI must not report them with one message.
+    /// the CLI must not report them with one message — and `read` (when
+    /// given) holds how reading the file went: Ok there means the file
+    /// was read but does not parse.
     [[nodiscard]] static std::optional<Profile> load(const std::string& path,
-                                                     std::string* diagnostic = nullptr);
+                                                     std::string* diagnostic = nullptr,
+                                                     FileRead* read = nullptr);
 
     friend bool operator==(const Profile&, const Profile&) = default;
 };

@@ -1,9 +1,8 @@
 #include "core/suite.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
-#include <optional>
+#include <functional>
 #include <utility>
 
 #include "base/check.hpp"
@@ -13,7 +12,6 @@
 #include "core/journal.hpp"
 #include "core/measure.hpp"
 #include "core/phase_codec.hpp"
-#include "exec/dag.hpp"
 #include "exec/memo_cache.hpp"
 #include "exec/pool.hpp"
 #include "obs/metrics.hpp"
@@ -30,6 +28,11 @@ Seconds PhaseTimer::total(const std::string& phase) {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = sink_->find(phase);
     return it == sink_->end() ? 0 : it->second;
+}
+
+std::uint64_t SuiteResult::counter(const std::string& name) const {
+    const auto it = counters.find(name);
+    return it == counters.end() ? 0 : it->second;
 }
 
 bool SuiteResult::measurements_equal(const SuiteResult& other) const {
@@ -189,12 +192,10 @@ SuiteResult run_suite(Platform& platform, msg::Network* network, SuiteOptions op
         obs::counter("suite.journal.phases.replayed", obs::Stability::Stable);
     obs::Counter& journal_appends =
         obs::counter("suite.journal.phases.appended", obs::Stability::Stable);
-    std::atomic<std::uint64_t> replayed_here{0};
-    std::atomic<std::uint64_t> appended_here{0};
 
     // Forensic digest stored on each commit line: the Stable counters at
     // commit time. Not used for replay decisions (per-phase deltas are
-    // not schedule-invariant when DAG phases overlap).
+    // not schedule-invariant when phases overlap).
     const auto counters_digest = [] {
         Fingerprint fp;
         for (const auto& [name, value] : obs::registry().stable_counters()) {
@@ -203,32 +204,10 @@ SuiteResult run_suite(Platform& platform, msg::Network* network, SuiteOptions op
         }
         return fp.value();
     };
-    const auto replay = [&](const std::string& phase, const RunJournal::Record& record) {
-        timer.record(phase, record.seconds);
-        journal_replays.increment();
-        replayed_here.fetch_add(1, std::memory_order_relaxed);
-        SERVET_LOG_INFO("suite: phase %s replayed from journal (%zu-byte record)",
-                        phase.c_str(), record.payload.size());
-    };
-    // Commit runs inside the phase's isolate() body, after the phase's
-    // result landed: an append failure only costs crash protection, a
-    // decode failure on a later resume only costs a re-measurement.
-    const auto commit = [&](const std::string& phase, std::string payload) {
-        if (journal == nullptr) return;
-        if (journal->append(phase, std::move(payload), timer.total(phase),
-                            counters_digest())) {
-            journal_appends.increment();
-            appended_here.fetch_add(1, std::memory_order_relaxed);
-        } else {
-            SERVET_LOG_WARN("suite: cannot append phase %s to journal %s; this phase "
-                            "loses crash protection",
-                            phase.c_str(), options.run_dir.c_str());
-        }
-    };
 
     // Phase isolation: a phase body that throws is recorded — name plus
     // message — instead of propagating, so one broken probe costs its
-    // phase, not the suite. The sink is mutex-guarded (DAG phases run
+    // phase, not the suite. The sink is mutex-guarded (phases 2-4 run
     // concurrently) and sorted by phase name at the end, keeping the
     // error list schedule-invariant.
     std::mutex errors_mutex;
@@ -245,6 +224,41 @@ SuiteResult run_suite(Platform& platform, msg::Network* network, SuiteOptions op
         }
     };
 
+    // The one path every phase takes. A journaled record that decodes is
+    // replayed outside isolate() (decoding cannot throw); a corrupt one
+    // falls through to re-measurement. A measured phase commits after its
+    // result landed, inside isolate(): an append failure only costs crash
+    // protection. Returns whether `out` now holds the phase's result.
+    const auto run_phase = [&](const std::string& phase, auto& out, auto decode, auto encode,
+                               auto measure) {
+        if (const RunJournal::Record* record =
+                journal == nullptr ? nullptr : journal->find(phase)) {
+            if (auto decoded = decode(record->payload)) {
+                out = std::move(*decoded);
+                timer.record(phase, record->seconds);
+                journal_replays.increment();
+                SERVET_LOG_INFO("suite: phase %s replayed from journal (%zu-byte record)",
+                                phase.c_str(), record->payload.size());
+                return true;
+            }
+            SERVET_LOG_WARN("suite: journaled %s record does not decode; re-measuring",
+                            phase.c_str());
+        }
+        bool produced = false;
+        isolate(phase, [&] {
+            out = timer.time(phase, measure);
+            produced = true;
+            if (journal == nullptr) return;
+            if (journal->append(phase, encode(out), timer.total(phase), counters_digest()))
+                journal_appends.increment();
+            else
+                SERVET_LOG_WARN("suite: cannot append phase %s to journal %s; this phase "
+                                "loses crash protection",
+                                phase.c_str(), options.run_dir.c_str());
+        });
+        return produced;
+    };
+
     // Skipping cache-size detection starves the phases that consume its
     // sizes; they skip along with it rather than run mis-sized.
     if (!options.run_cache_size) {
@@ -255,61 +269,34 @@ SuiteResult run_suite(Platform& platform, msg::Network* network, SuiteOptions op
     // Phase 1: cache size estimate (Section III-A). Runs first — every
     // other phase is sized by its result — with its sweep parallel inside.
     options.detect.page_size = platform.page_size();
-    // A replayed phase bypasses isolate(): decoding a committed record
-    // cannot throw, and a corrupt record falls through to re-measurement.
-    const RunJournal::Record* cache_record =
-        journal == nullptr || !options.run_cache_size ? nullptr : journal->find("cache_size");
-    std::optional<CacheSizePayload> cache_payload;
-    if (cache_record != nullptr) {
-        cache_payload = decode_cache_size(cache_record->payload);
-        if (!cache_payload)
-            SERVET_LOG_WARN("suite: journaled cache_size record does not decode; "
-                            "re-measuring");
-    }
-    if (cache_payload) {
-        result.curve = std::move(cache_payload->curve);
-        result.cache_levels = std::move(cache_payload->levels);
-        replay("cache_size", *cache_record);
-    } else if (options.run_cache_size) {
-        isolate("cache_size", [&] {
-            result.curve = timer.time("cache_size", [&] {
-                return run_mcalibrator(engine, options.mcalibrator);
-            });
-            result.cache_levels = detect_cache_levels(result.curve, options.detect);
-            SERVET_LOG_INFO("suite: detected %zu cache levels", result.cache_levels.size());
-            commit("cache_size", encode_cache_size({result.curve, result.cache_levels}));
+    if (options.run_cache_size) {
+        CacheSizePayload cache;
+        run_phase("cache_size", cache, decode_cache_size, encode_cache_size, [&] {
+            CacheSizePayload measured;
+            measured.curve = run_mcalibrator(engine, options.mcalibrator);
+            measured.levels = detect_cache_levels(measured.curve, options.detect);
+            SERVET_LOG_INFO("suite: detected %zu cache levels", measured.levels.size());
+            return measured;
         });
+        result.curve = std::move(cache.curve);
+        result.cache_levels = std::move(cache.levels);
     }
 
     std::vector<Bytes> sizes;
     for (const CacheLevelEstimate& level : result.cache_levels) sizes.push_back(level.size);
 
-    // Phases 2-4 are mutually independent given the sizes: run them as a
-    // three-node DAG, concurrently when a pool exists.
-    exec::TaskDag dag;
+    // Phases 2-4 are mutually independent given the sizes, so they fan
+    // out like any batch of measurement tasks; each body is one phase.
+    std::vector<std::pair<std::string, std::function<void(const std::string&)>>> fan_out;
 
     // Phase 2: shared caches (Section III-B) — needs at least two cores.
     if (options.run_shared_cache && platform.core_count() > 1 && !sizes.empty()) {
-        dag.add("shared_caches", [&] {
-            if (journal != nullptr) {
-                if (const RunJournal::Record* record = journal->find("shared_caches")) {
-                    if (auto decoded = decode_shared_caches(record->payload)) {
-                        result.shared_caches = std::move(*decoded);
-                        result.has_shared_caches = true;
-                        replay("shared_caches", *record);
-                        return;
-                    }
-                    SERVET_LOG_WARN("suite: journaled shared_caches record does not "
-                                    "decode; re-measuring");
-                }
-            }
-            isolate("shared_caches", [&] {
-                result.shared_caches = timer.time("shared_caches", [&] {
-                    return detect_shared_caches(engine, sizes, options.shared_cache);
-                });
-                result.has_shared_caches = true;
-                commit("shared_caches", encode_shared_caches(result.shared_caches));
-            });
+        fan_out.emplace_back("shared_caches", [&](const std::string& phase) {
+            result.has_shared_caches =
+                run_phase(phase, result.shared_caches, decode_shared_caches,
+                          encode_shared_caches, [&] {
+                              return detect_shared_caches(engine, sizes, options.shared_cache);
+                          });
         });
     }
 
@@ -317,58 +304,41 @@ SuiteResult run_suite(Platform& platform, msg::Network* network, SuiteOptions op
     // past the LLC.
     if (options.run_mem_overhead && platform.core_count() > 1) {
         if (!sizes.empty()) options.mem_overhead.array_bytes = 4 * sizes.back();
-        dag.add("mem_overhead", [&] {
-            if (journal != nullptr) {
-                if (const RunJournal::Record* record = journal->find("mem_overhead")) {
-                    if (auto decoded = decode_mem_overhead(record->payload)) {
-                        result.mem_overhead = std::move(*decoded);
-                        result.has_mem_overhead = true;
-                        replay("mem_overhead", *record);
-                        return;
-                    }
-                    SERVET_LOG_WARN("suite: journaled mem_overhead record does not "
-                                    "decode; re-measuring");
-                }
-            }
-            isolate("mem_overhead", [&] {
-                result.mem_overhead = timer.time("mem_overhead", [&] {
-                    return characterize_memory_overhead(engine, options.mem_overhead);
-                });
-                result.has_mem_overhead = true;
-                commit("mem_overhead", encode_mem_overhead(result.mem_overhead));
-            });
+        fan_out.emplace_back("mem_overhead", [&](const std::string& phase) {
+            result.has_mem_overhead =
+                run_phase(phase, result.mem_overhead, decode_mem_overhead,
+                          encode_mem_overhead, [&] {
+                              return characterize_memory_overhead(engine, options.mem_overhead);
+                          });
         });
     }
 
     // Phase 4: communication costs (Section III-D); probe with the L1 size.
     if (options.run_comm && network != nullptr && network->endpoint_count() > 1) {
         if (!sizes.empty()) options.comm.probe_message = sizes.front();
-        dag.add("comm_costs", [&] {
-            if (journal != nullptr) {
-                if (const RunJournal::Record* record = journal->find("comm_costs")) {
-                    if (auto decoded = decode_comm_costs(record->payload)) {
-                        result.comm = std::move(*decoded);
-                        result.has_comm = true;
-                        replay("comm_costs", *record);
-                        return;
-                    }
-                    SERVET_LOG_WARN("suite: journaled comm_costs record does not "
-                                    "decode; re-measuring");
-                }
-            }
-            isolate("comm_costs", [&] {
-                result.comm = timer.time("comm_costs", [&] {
-                    return characterize_communication(engine, options.comm);
-                });
-                result.has_comm = true;
-                commit("comm_costs", encode_comm_costs(result.comm));
-            });
+        fan_out.emplace_back("comm_costs", [&](const std::string& phase) {
+            result.has_comm =
+                run_phase(phase, result.comm, decode_comm_costs, encode_comm_costs,
+                          [&] { return characterize_communication(engine, options.comm); });
         });
     }
 
+    // Keep the "dag" names: the goldens and test_obs_determinism pin
+    // exec.dag.nodes, and bench_suite's exec.dag.share sums the
+    // dag/<phase> spans.
+    if (!fan_out.empty())
+        obs::counter("exec.dag.nodes", obs::Stability::Stable).add(fan_out.size());
+    const auto run_downstream = [&](std::size_t i) {
+        SERVET_TRACE_SPAN("dag/" + fan_out[i].first);
+        fan_out[i].second(fan_out[i].first);
+    };
     // A non-deterministic platform is shared mutable state: its phases
-    // must not overlap, so the DAG degrades to the serial path.
-    dag.run(engine.deterministic() ? pool.get() : nullptr);
+    // must not overlap, so they run one after another in the order above.
+    if (pool != nullptr && engine.deterministic()) {
+        pool->parallel_for(fan_out.size(), run_downstream);
+    } else {
+        for (std::size_t i = 0; i < fan_out.size(); ++i) run_downstream(i);
+    }
 
     std::sort(result.errors.begin(), result.errors.end(),
               [](const PhaseError& a, const PhaseError& b) { return a.phase < b.phase; });
@@ -376,26 +346,17 @@ SuiteResult run_suite(Platform& platform, msg::Network* network, SuiteOptions op
         SERVET_LOG_WARN("suite: %zu phase(s) failed; profile will be partial",
                         result.errors.size());
 
-    result.memo_hits = memo.hits();
-    result.memo_misses = memo.misses();
-    result.journal_replayed = replayed_here.load(std::memory_order_relaxed);
-    result.journal_appended = appended_here.load(std::memory_order_relaxed);
-
     for (const auto& [name, value] : obs::registry().stable_counters()) {
         const auto it = counters_before.find(name);
         const std::uint64_t before = it == counters_before.end() ? 0 : it->second;
         if (value > before) result.counters.emplace(name, value - before);
     }
-    const auto counter_or_zero = [&](const char* name) {
-        const auto it = result.counters.find(name);
-        return it == result.counters.end() ? std::uint64_t{0} : it->second;
-    };
     SERVET_LOG_INFO(
         "suite: measurements %llu run, %llu deduped; memo %llu hits / %llu misses",
-        static_cast<unsigned long long>(counter_or_zero("exec.tasks.run")),
-        static_cast<unsigned long long>(counter_or_zero("exec.tasks.deduped")),
-        static_cast<unsigned long long>(counter_or_zero("exec.memo.hits")),
-        static_cast<unsigned long long>(counter_or_zero("exec.memo.misses")));
+        static_cast<unsigned long long>(result.counter("exec.tasks.run")),
+        static_cast<unsigned long long>(result.counter("exec.tasks.deduped")),
+        static_cast<unsigned long long>(result.counter("exec.memo.hits")),
+        static_cast<unsigned long long>(result.counter("exec.memo.misses")));
 
     if (!options.memo_path.empty() && engine.memoizable()) {
         if (memo.save_file(options.memo_path)) {

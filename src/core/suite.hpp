@@ -5,8 +5,8 @@
 //
 // Parallelism: with jobs > 1, each phase fans its measurement tasks out
 // over a thread pool, and the three phases downstream of cache-size
-// detection — mutually independent once the sizes are known — run as
-// concurrent nodes of a task DAG. On deterministic (forkable) platforms,
+// detection — mutually independent once the sizes are known — fan out
+// over the same pool's parallel_for. On deterministic (forkable) platforms,
 // every task's RNG seeds derive from its stable key, never from
 // scheduling order, so a parallel run's Profile is byte-identical to the
 // serial one.
@@ -33,7 +33,7 @@ namespace servet::core {
 /// Accumulates wall-clock seconds per phase into a shared sink. Repeated
 /// timings of one phase add up (a phase that runs in several pieces
 /// reports its total, not the last piece), and recording is thread-safe
-/// so concurrent DAG phases can share one sink.
+/// so concurrent phases can share one sink.
 class PhaseTimer {
   public:
     explicit PhaseTimer(std::map<std::string, Seconds>& sink) : sink_(&sink) {}
@@ -114,7 +114,7 @@ struct SuiteOptions {
     std::vector<std::string> remeasure;
 };
 
-/// One failed phase of a suite run: the phase's DAG/timing name plus the
+/// One failed phase of a suite run: the phase's timing name plus the
 /// message of the exception that ended it.
 struct PhaseError {
     std::string phase;
@@ -133,12 +133,9 @@ struct SuiteResult {
     bool has_mem_overhead = false;
     bool has_comm = false;
     std::map<std::string, Seconds> phase_seconds;  ///< Table I rows
-    std::uint64_t memo_hits = 0;                   ///< memo lookups served
-    std::uint64_t memo_misses = 0;                 ///< memo lookups measured
-    std::uint64_t journal_replayed = 0;            ///< phases restored from the journal
-    std::uint64_t journal_appended = 0;            ///< phases committed to the journal
     /// This run's deltas of every Stable obs counter (nonzero ones only):
     /// schedule-invariant, so --jobs 1 and --jobs N report identical maps.
+    /// Memo hits and misses, journal replays and appends: read them here.
     std::map<std::string, std::uint64_t> counters;
     /// Copy `counters` into the profile (SuiteOptions::profile_counters).
     bool embed_counters = false;
@@ -148,12 +145,17 @@ struct SuiteResult {
     /// Empty means a fully successful run.
     std::vector<PhaseError> errors;
 
+    /// This run's delta of the Stable counter `name`; 0 when it did not
+    /// move (`counters` holds nonzero deltas only).
+    [[nodiscard]] std::uint64_t counter(const std::string& name) const;
+
     /// True when at least one phase failed (the result is partial).
     [[nodiscard]] bool partial() const { return !errors.empty(); }
 
-    /// Every measured quantity equal (phase timings and memo statistics
-    /// excluded — wall clock can never repeat). This is the determinism
-    /// contract a parallel run is tested against.
+    /// Every measured quantity equal (phase timings and counters
+    /// excluded — wall clock can never repeat, and a warm run counts memo
+    /// hits where a cold one measured). This is the determinism contract
+    /// a parallel run is tested against.
     [[nodiscard]] bool measurements_equal(const SuiteResult& other) const;
 
     /// Aggregate into the installable profile file.

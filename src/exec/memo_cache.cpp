@@ -4,8 +4,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cerrno>
-
 #include "base/check.hpp"
 #include "base/fs.hpp"
 #include "base/text.hpp"
@@ -40,22 +38,6 @@ std::string format_record(const std::string& key, const std::vector<double>& val
     line += '\n';
     return line;
 }
-
-/// Full write with EINTR retry; short writes continue where they left off.
-bool write_all(int fd, const std::string& data) {
-    const char* p = data.data();
-    std::size_t remaining = data.size();
-    while (remaining > 0) {
-        const ssize_t n = ::write(fd, p, remaining);
-        if (n < 0) {
-            if (errno == EINTR) continue;
-            return false;
-        }
-        p += n;
-        remaining -= static_cast<std::size_t>(n);
-    }
-    return true;
-}
 }  // namespace
 
 MemoCache::~MemoCache() {
@@ -66,11 +48,9 @@ std::optional<std::vector<double>> MemoCache::lookup(const std::string& key) con
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = entries_.find(key);
     if (it == entries_.end()) {
-        ++misses_;
         miss_counter().increment();
         return std::nullopt;
     }
-    ++hits_;
     hit_counter().increment();
     return it->second;
 }
@@ -118,16 +98,6 @@ bool MemoCache::journal_to(const std::string& path) {
 std::size_t MemoCache::size() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return entries_.size();
-}
-
-std::uint64_t MemoCache::hits() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hits_;
-}
-
-std::uint64_t MemoCache::misses() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return misses_;
 }
 
 MemoLoad MemoCache::load_file(const std::string& path, MemoLoadMode mode) {

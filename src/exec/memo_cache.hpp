@@ -42,7 +42,8 @@ class MemoCache {
     ~MemoCache();
     MemoCache(const MemoCache&) = delete;
     MemoCache& operator=(const MemoCache&) = delete;
-    /// Returns the stored values, or nullopt (and counts a miss).
+    /// Returns the stored values, or nullopt. Counts the hit or miss in
+    /// the obs registry (exec.memo.hits / exec.memo.misses).
     [[nodiscard]] std::optional<std::vector<double>> lookup(const std::string& key) const;
 
     /// Stores the result of `key`. First store wins: a concurrent
@@ -51,8 +52,6 @@ class MemoCache {
     void store(const std::string& key, std::vector<double> values);
 
     [[nodiscard]] std::size_t size() const;
-    [[nodiscard]] std::uint64_t hits() const;
-    [[nodiscard]] std::uint64_t misses() const;
 
     /// Merge records from `path` (existing keys keep their values).
     /// Strict mode: a malformed file (bad header, truncated record,
@@ -81,8 +80,6 @@ class MemoCache {
 
     mutable std::mutex mutex_;
     std::map<std::string, std::vector<double>> entries_;
-    mutable std::uint64_t hits_ = 0;
-    mutable std::uint64_t misses_ = 0;
     int journal_fd_ = -1;
 };
 

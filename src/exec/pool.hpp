@@ -3,8 +3,9 @@
 // participates in executing the iteration space itself, and pool workers
 // only assist. Even with every worker busy (or a zero-worker pool), the
 // caller can always finish the loop alone, so a parallel_for issued from
-// inside a pool task — e.g. a suite phase running as a DAG node that fans
-// out its own probe tasks — completes without reserving threads.
+// inside another parallel_for — e.g. a suite phase, itself one iteration
+// of the phase fan-out, fanning out its own probe tasks — completes
+// without reserving threads.
 #pragma once
 
 #include <condition_variable>
@@ -29,7 +30,7 @@ class ThreadPool {
 
     /// Fire-and-forget execution. The callable must not throw — there is
     /// nobody to rethrow to; exceptions escaping it are logged and
-    /// dropped. Use parallel_for (or TaskDag) for propagating work.
+    /// dropped. Use parallel_for for propagating work.
     void submit(std::function<void()> task);
 
     /// Runs body(0) ... body(n-1), in any order, and returns when all have

@@ -22,8 +22,7 @@ obs::Counter& fault_delays() {
 }  // namespace
 
 FaultyNetwork::FaultyNetwork(Network& inner, const FaultPlan& plan)
-    : inner_(&inner), plan_(plan), rng_(plan.seed),
-      drops_(std::make_shared<std::atomic<int>>(0)) {
+    : inner_(&inner), plan_(plan), rng_(plan.seed) {
     SERVET_CHECK(plan.drop_probability >= 0 && plan.drop_probability <= 1);
     SERVET_CHECK(plan.delay_probability >= 0 && plan.delay_probability <= 1);
     SERVET_CHECK_MSG(plan.drop_probability + plan.delay_probability <= 1.0,
@@ -31,10 +30,8 @@ FaultyNetwork::FaultyNetwork(Network& inner, const FaultPlan& plan)
     SERVET_CHECK(plan.delay_factor >= 1.0);
 }
 
-FaultyNetwork::FaultyNetwork(std::unique_ptr<Network> owned, const FaultPlan& plan,
-                             std::shared_ptr<std::atomic<int>> drops)
-    : inner_(owned.get()), owned_(std::move(owned)), plan_(plan), rng_(plan.seed),
-      drops_(std::move(drops)) {}
+FaultyNetwork::FaultyNetwork(std::unique_ptr<Network> owned, const FaultPlan& plan)
+    : inner_(owned.get()), owned_(std::move(owned)), plan_(plan), rng_(plan.seed) {}
 
 std::string FaultyNetwork::name() const { return "faulty(" + inner_->name() + ")"; }
 
@@ -56,14 +53,13 @@ std::unique_ptr<Network> FaultyNetwork::fork(std::uint64_t noise_salt) const {
     // FlakyPlatform: parallel runs drop the same messages as serial ones.
     FaultPlan plan = plan_;
     plan.seed = mix64(plan_.seed ^ noise_salt);
-    return std::unique_ptr<Network>(new FaultyNetwork(std::move(inner), plan, drops_));
+    return std::unique_ptr<Network>(new FaultyNetwork(std::move(inner), plan));
 }
 
 Seconds FaultyNetwork::filter(Seconds latency) {
     const double u = rng_.next_double();
     double band = plan_.drop_probability;
     if (u < band) {
-        drops_->fetch_add(1, std::memory_order_relaxed);
         fault_drops().increment();
         throw TransientNetworkError("injected message drop");
     }

@@ -7,7 +7,6 @@
 // byte-identical to serial. Mirrors FlakyPlatform on the Platform side.
 #pragma once
 
-#include <atomic>
 #include <memory>
 
 #include "base/fault_plan.hpp"
@@ -33,13 +32,8 @@ class FaultyNetwork final : public Network {
     [[nodiscard]] std::vector<Seconds> concurrent_latency(const std::vector<CorePair>& pairs,
                                                           Bytes size, int reps) override;
 
-    /// Drops injected by this decorator and every replica forked from it
-    /// (replicas share the counter).
-    [[nodiscard]] int drops_injected() const { return drops_->load(); }
-
   private:
-    FaultyNetwork(std::unique_ptr<Network> owned, const FaultPlan& plan,
-                  std::shared_ptr<std::atomic<int>> drops);
+    FaultyNetwork(std::unique_ptr<Network> owned, const FaultPlan& plan);
 
     /// Draws one fault decision for a measured latency. May throw
     /// TransientNetworkError (drop) or inflate the value (delay).
@@ -49,7 +43,6 @@ class FaultyNetwork final : public Network {
     std::unique_ptr<Network> owned_;  ///< set on forked replicas only
     FaultPlan plan_;
     Rng rng_;
-    std::shared_ptr<std::atomic<int>> drops_;  ///< shared with replicas
 };
 
 }  // namespace servet::msg

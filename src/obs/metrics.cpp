@@ -1,13 +1,9 @@
 #include "obs/metrics.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <fstream>
 
 #include "base/check.hpp"
+#include "base/fs.hpp"
 #include "base/text.hpp"
 
 namespace servet::obs {
@@ -221,32 +217,13 @@ std::string Registry::series_line(std::uint64_t tick, std::uint64_t fingerprint)
 }
 
 bool write_metrics_json(const std::string& path, bool stable_only) {
-    std::ofstream out(path);
-    if (!out) return false;
-    out << registry().to_json(stable_only);
-    return static_cast<bool>(out);
+    return write_file_atomic(path, registry().to_json(stable_only));
 }
 
 bool write_metrics_series_json(const std::string& path, std::uint64_t tick,
                                std::uint64_t fingerprint) {
-    const std::string line = registry().series_line(tick, fingerprint) + '\n';
-    const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
-    if (fd < 0) return false;
-    const char* data = line.data();
-    std::size_t remaining = line.size();
-    while (remaining > 0) {
-        const ssize_t n = ::write(fd, data, remaining);
-        if (n < 0) {
-            if (errno == EINTR) continue;
-            ::close(fd);
-            return false;
-        }
-        data += n;
-        remaining -= static_cast<std::size_t>(n);
-    }
-    const bool synced = ::fsync(fd) == 0;
-    ::close(fd);
-    return synced;
+    return append_synced(path, registry().series_line(tick, fingerprint) + '\n',
+                         /*create=*/true);
 }
 
 }  // namespace servet::obs

@@ -2,9 +2,9 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 
 #include "base/clock.hpp"
+#include "base/fs.hpp"
 #include "base/log.hpp"
 
 namespace servet::obs {
@@ -67,10 +67,7 @@ bool Tracer::write_chrome_trace(const std::string& path) const {
         SERVET_LOG_WARN("trace: %llu span(s) dropped on full thread buffers; the "
                         "export at %s is truncated (raise Tracer::set_thread_capacity)",
                         static_cast<unsigned long long>(lost), path.c_str());
-    std::ofstream out(path);
-    if (!out) return false;
-    out << chrome_trace_json();
-    return static_cast<bool>(out);
+    return write_file_atomic(path, chrome_trace_json());
 }
 
 void Tracer::reset() {

@@ -195,8 +195,7 @@ std::vector<BytesPerSecond> RobustPlatform::copy_bandwidth_concurrent(
 }
 
 FlakyPlatform::FlakyPlatform(Platform& inner, const FaultPlan& plan)
-    : inner_(&inner), plan_(plan), rng_(plan.seed),
-      spikes_(std::make_shared<std::atomic<int>>(0)) {
+    : inner_(&inner), plan_(plan), rng_(plan.seed) {
     SERVET_CHECK(plan.spike_probability >= 0 && plan.spike_probability <= 1);
     SERVET_CHECK(plan.nan_probability >= 0 && plan.nan_probability <= 1);
     SERVET_CHECK(plan.throw_probability >= 0 && plan.throw_probability <= 1);
@@ -215,10 +214,8 @@ FlakyPlatform::FlakyPlatform(Platform& inner, double spike_probability, double s
                                      .spike_factor = spike_factor,
                                      .seed = seed}) {}
 
-FlakyPlatform::FlakyPlatform(std::unique_ptr<Platform> owned, const FaultPlan& plan,
-                             std::shared_ptr<std::atomic<int>> spikes)
-    : inner_(owned.get()), owned_(std::move(owned)), plan_(plan), rng_(plan.seed),
-      spikes_(std::move(spikes)) {}
+FlakyPlatform::FlakyPlatform(std::unique_ptr<Platform> owned, const FaultPlan& plan)
+    : inner_(owned.get()), owned_(std::move(owned)), plan_(plan), rng_(plan.seed) {}
 
 std::string FlakyPlatform::name() const { return "flaky(" + inner_->name() + ")"; }
 
@@ -243,7 +240,7 @@ std::unique_ptr<Platform> FlakyPlatform::fork(std::uint64_t noise_salt,
     // faults into the same tasks as serial ones.
     FaultPlan plan = plan_;
     plan.seed = mix64(plan_.seed ^ noise_salt);
-    return std::unique_ptr<Platform>(new FlakyPlatform(std::move(inner), plan, spikes_));
+    return std::unique_ptr<Platform>(new FlakyPlatform(std::move(inner), plan));
 }
 
 void FlakyPlatform::simulate_hang() {
@@ -259,7 +256,6 @@ double FlakyPlatform::filter(double value, bool inflate) {
     const double u = rng_.next_double();
     double band = plan_.spike_probability;
     if (u < band) {
-        spikes_->fetch_add(1, std::memory_order_relaxed);
         fault_spikes().increment();
         return inflate ? value * plan_.spike_factor : value / plan_.spike_factor;
     }

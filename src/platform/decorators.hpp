@@ -27,7 +27,6 @@
 // wrapping and forking without the decorators knowing it exists.
 #pragma once
 
-#include <atomic>
 #include <memory>
 
 #include "base/fault_plan.hpp"
@@ -116,14 +115,8 @@ class FlakyPlatform final : public Platform {
     [[nodiscard]] std::vector<BytesPerSecond> copy_bandwidth_concurrent(
         const std::vector<CoreId>& cores, Bytes array_bytes) override;
 
-    /// Spikes injected by this decorator and every replica forked from it
-    /// (replicas share the counter, so the engine's per-task forks still
-    /// report here).
-    [[nodiscard]] int spikes_injected() const { return spikes_->load(); }
-
   private:
-    FlakyPlatform(std::unique_ptr<Platform> owned, const FaultPlan& plan,
-                  std::shared_ptr<std::atomic<int>> spikes);
+    FlakyPlatform(std::unique_ptr<Platform> owned, const FaultPlan& plan);
 
     /// Draws one fault decision and applies it to `value`. `inflate`
     /// selects the spike direction (cycles up, bandwidth down). May throw
@@ -135,7 +128,6 @@ class FlakyPlatform final : public Platform {
     std::unique_ptr<Platform> owned_;  ///< set on forked replicas only
     FaultPlan plan_;
     Rng rng_;
-    std::shared_ptr<std::atomic<int>> spikes_;  ///< shared with replicas
 };
 
 }  // namespace servet

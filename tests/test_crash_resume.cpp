@@ -31,7 +31,8 @@ namespace {
 
 // Pinned experimentally: on nehalem2s --fast, this plan lets cache_size
 // commit and then hangs a task of the shared_caches phase, at --jobs 1
-// and --jobs 4 alike (the DAG lets the other phases finish under jobs 4).
+// and --jobs 4 alike (the phase fan-out lets the other phases finish
+// under jobs 4).
 constexpr const char* kHangFaults = "hang=0.005,hang_seconds=3600,seed=3";
 constexpr const char* kMachine = "nehalem2s";
 

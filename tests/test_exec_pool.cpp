@@ -1,12 +1,10 @@
 // Stress and edge-case coverage for the servet::exec substrate: the
 // cooperative thread pool (exception propagation, nesting, degenerate
-// sizes), the task DAG (ordering, transitive failure skips), the memo
-// cache (exact round-trips, first-store-wins), and the stable hashing
-// that seeds measurement tasks.
+// sizes), the memo cache (exact round-trips, first-store-wins), and the
+// stable hashing that seeds measurement tasks.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <set>
 #include <stdexcept>
@@ -15,10 +13,10 @@
 #include <vector>
 
 #include "base/hash.hpp"
-#include "exec/dag.hpp"
 #include "exec/memo_cache.hpp"
 #include "exec/pool.hpp"
 #include "exec/task_key.hpp"
+#include "obs/metrics.hpp"
 
 namespace servet::exec {
 namespace {
@@ -144,85 +142,19 @@ TEST(ThreadPool, SubmittedTasksRun) {
     EXPECT_EQ(calls.load(), 16);
 }
 
-TEST(TaskDag, SerialRunsInInsertionOrderAmongReady) {
-    TaskDag dag;
-    std::vector<std::string> order;
-    dag.add("a", [&] { order.push_back("a"); });
-    dag.add("b", [&] { order.push_back("b"); }, {"a"});
-    dag.add("c", [&] { order.push_back("c"); });
-    dag.run(nullptr);
-    ASSERT_EQ(order.size(), 3u);
-    EXPECT_EQ(order[0], "a");
-    EXPECT_EQ(order[1], "b");
-    EXPECT_EQ(order[2], "c");
-}
-
-TEST(TaskDag, ParallelRespectsDependencies) {
-    ThreadPool pool(3);
-    TaskDag dag;
-    std::atomic<bool> a_done{false};
-    std::atomic<bool> b_done{false};
-    std::atomic<bool> dep_violated{false};
-    dag.add("a", [&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        a_done = true;
-    });
-    dag.add("b", [&] { b_done = true; });
-    dag.add("c", [&] {
-        if (!a_done || !b_done) dep_violated = true;
-    }, {"a", "b"});
-    dag.run(&pool);
-    EXPECT_TRUE(a_done);
-    EXPECT_TRUE(b_done);
-    EXPECT_FALSE(dep_violated);
-}
-
-TEST(TaskDag, FailureSkipsDependentsTransitively) {
-    for (const bool parallel : {false, true}) {
-        ThreadPool pool(2);
-        TaskDag dag;
-        std::atomic<int> ran{0};
-        dag.add("a", [] { throw std::runtime_error("a failed"); });
-        dag.add("b", [&] { ++ran; }, {"a"});
-        dag.add("c", [&] { ++ran; }, {"b"});
-        dag.add("d", [&] { ++ran; });
-        try {
-            dag.run(parallel ? &pool : nullptr);
-            FAIL() << "expected the failure to be rethrown (parallel=" << parallel << ")";
-        } catch (const std::runtime_error& e) {
-            EXPECT_STREQ(e.what(), "a failed");
-        }
-        EXPECT_EQ(ran.load(), 1) << "only the independent task may run";
-    }
-}
-
-TEST(TaskDag, FirstFailureByInsertionOrderRethrown) {
-    TaskDag dag;
-    dag.add("a", [] { throw std::runtime_error("first"); });
-    dag.add("b", [] { throw std::runtime_error("second"); });
-    try {
-        dag.run(nullptr);
-        FAIL() << "expected an exception";
-    } catch (const std::runtime_error& e) {
-        EXPECT_STREQ(e.what(), "first");
-    }
-}
-
-TEST(TaskDag, EmptyDagRuns) {
-    TaskDag dag;
-    dag.run(nullptr);
-    EXPECT_EQ(dag.task_count(), 0u);
-}
-
 TEST(MemoCache, StoreThenLookup) {
+    obs::Counter& hits = obs::counter("exec.memo.hits", obs::Stability::Stable);
+    obs::Counter& misses = obs::counter("exec.memo.misses", obs::Stability::Stable);
+    const std::uint64_t hits_before = hits.value();
+    const std::uint64_t misses_before = misses.value();
     MemoCache memo;
     EXPECT_FALSE(memo.lookup("k").has_value());
     memo.store("k", {1.5, -2.25});
     const auto hit = memo.lookup("k");
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(*hit, (std::vector<double>{1.5, -2.25}));
-    EXPECT_EQ(memo.hits(), 1u);
-    EXPECT_EQ(memo.misses(), 1u);
+    EXPECT_EQ(hits.value() - hits_before, 1u);
+    EXPECT_EQ(misses.value() - misses_before, 1u);
 }
 
 TEST(MemoCache, FirstStoreWins) {

@@ -64,6 +64,17 @@ TEST(Fs, ReadFileDistinguishesAbsent) {
     EXPECT_EQ(read_file(unique_dir("fs_absent") + "/missing.txt", &text), FileRead::Absent);
 }
 
+TEST(Fs, AppendSyncedCreatesOnlyWhenAsked) {
+    const std::string path = unique_dir("fs_append") + ".txt";
+    EXPECT_FALSE(append_synced(path, "a\n", /*create=*/false));
+    std::string text;
+    EXPECT_EQ(read_file(path, &text), FileRead::Absent);
+    ASSERT_TRUE(append_synced(path, "a\n", /*create=*/true));
+    ASSERT_TRUE(append_synced(path, "b\n", /*create=*/false));
+    EXPECT_EQ(slurp(path), "a\nb\n");
+    std::remove(path.c_str());
+}
+
 // ---- phase codecs: exact round trips ----
 
 // Doubles chosen to stress the hexfloat path: non-terminating binary
@@ -202,6 +213,17 @@ TEST(RunJournal, AppendThenResumeRoundTripsRecords) {
     EXPECT_EQ(cache->payload, "point 1024 0x1p+1\n");
     EXPECT_EQ(cache->seconds, 1.0 / 3.0);  // bit-exact through the hexfloat
     EXPECT_EQ(journal.find("missing"), nullptr);
+}
+
+TEST(RunJournal, AppendFailsWhenFileVanished) {
+    const std::string dir = unique_dir("journal_vanished");
+    RunJournal journal(dir, test_header(), RunJournal::Mode::Create);
+    ASSERT_EQ(std::remove(RunJournal::file_path(dir).c_str()), 0);
+    // A recreated file would hold a record but no header, which no later
+    // resume could load.
+    EXPECT_FALSE(journal.append("cache_size", "point 1024 0x1p+1\n", 1.0, 42));
+    std::string text;
+    EXPECT_EQ(read_file(RunJournal::file_path(dir), &text), FileRead::Absent);
 }
 
 TEST(RunJournal, CreateModeTruncatesExistingJournal) {
@@ -555,13 +577,13 @@ TEST(SuiteResume, ReplaysEveryCommittedPhaseBitExactly) {
 
     const SuiteResult first = run_suite(platform, &network, options);
     ASSERT_FALSE(first.partial());
-    EXPECT_EQ(first.journal_appended, 4u);
-    EXPECT_EQ(first.journal_replayed, 0u);
+    EXPECT_EQ(first.counter("suite.journal.phases.appended"), 4u);
+    EXPECT_EQ(first.counter("suite.journal.phases.replayed"), 0u);
 
     options.resume = true;
     const SuiteResult resumed = run_suite(platform, &network, options);
-    EXPECT_EQ(resumed.journal_replayed, 4u);
-    EXPECT_EQ(resumed.journal_appended, 0u);
+    EXPECT_EQ(resumed.counter("suite.journal.phases.replayed"), 4u);
+    EXPECT_EQ(resumed.counter("suite.journal.phases.appended"), 0u);
     EXPECT_TRUE(first.measurements_equal(resumed));
     // Replay restores the producing run's wall clock bit-exactly.
     EXPECT_EQ(first.phase_seconds, resumed.phase_seconds);
@@ -574,13 +596,13 @@ TEST(SuiteResume, RemeasuresOnlyDroppedPhases) {
     options.run_dir = unique_dir("suite_remeasure");
 
     const SuiteResult first = run_suite(platform, &network, options);
-    ASSERT_EQ(first.journal_appended, 4u);
+    ASSERT_EQ(first.counter("suite.journal.phases.appended"), 4u);
 
     options.resume = true;
     options.remeasure = {"comm_costs"};
     const SuiteResult repaired = run_suite(platform, &network, options);
-    EXPECT_EQ(repaired.journal_replayed, 3u);
-    EXPECT_EQ(repaired.journal_appended, 1u);
+    EXPECT_EQ(repaired.counter("suite.journal.phases.replayed"), 3u);
+    EXPECT_EQ(repaired.counter("suite.journal.phases.appended"), 1u);
     EXPECT_TRUE(first.measurements_equal(repaired));
 }
 
@@ -605,8 +627,8 @@ TEST(SuiteResume, ResumeWithoutJournalIsAFreshRun) {
     options.resume = true;
     const SuiteResult result = run_suite(platform, &network, options);
     EXPECT_FALSE(result.partial());
-    EXPECT_EQ(result.journal_replayed, 0u);
-    EXPECT_EQ(result.journal_appended, 4u);
+    EXPECT_EQ(result.counter("suite.journal.phases.replayed"), 0u);
+    EXPECT_EQ(result.counter("suite.journal.phases.appended"), 4u);
 }
 
 }  // namespace

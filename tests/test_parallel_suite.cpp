@@ -40,20 +40,28 @@ std::string stripped_profile_text(const SuiteResult& result, const sim::MachineS
     return profile.serialize();
 }
 
+/// jobs = 2 is the tightest shape: one pool worker, so the calling thread
+/// must take phases of the fan-out itself. jobs = 4 lets every
+/// downstream phase run at once.
 void expect_parallel_equals_serial(const sim::MachineSpec& spec) {
     SuiteOptions serial_options = trimmed_options(spec);
     serial_options.jobs = 1;
-    SuiteOptions parallel_options = trimmed_options(spec);
-    parallel_options.jobs = 4;
-
     const SuiteResult serial = run_with(spec, serial_options);
-    const SuiteResult parallel = run_with(spec, parallel_options);
 
-    EXPECT_TRUE(serial.measurements_equal(parallel));
-    EXPECT_TRUE(parallel.measurements_equal(serial));
-    // The contract is byte-for-byte on the installable artifact, not just
-    // ==-equality of in-memory structs.
-    EXPECT_EQ(stripped_profile_text(serial, spec), stripped_profile_text(parallel, spec));
+    for (const int jobs : {2, 4}) {
+        SCOPED_TRACE("jobs = " + std::to_string(jobs));
+        SuiteOptions parallel_options = trimmed_options(spec);
+        parallel_options.jobs = jobs;
+        const SuiteResult parallel = run_with(spec, parallel_options);
+
+        EXPECT_TRUE(serial.measurements_equal(parallel));
+        EXPECT_TRUE(parallel.measurements_equal(serial));
+        // The contract is byte-for-byte on the installable artifact, not
+        // just ==-equality of in-memory structs — and the Stable counters
+        // are schedule-invariant too.
+        EXPECT_EQ(stripped_profile_text(serial, spec), stripped_profile_text(parallel, spec));
+        EXPECT_EQ(serial.counters, parallel.counters);
+    }
 }
 
 TEST(ParallelSuite, DempseyParallelEqualsSerial) {
@@ -76,7 +84,7 @@ TEST(ParallelSuite, WarmMemoRunReplaysEveryMeasurement) {
     SuiteOptions cold_options = trimmed_options(spec);
     cold_options.memo_path = path;
     const SuiteResult cold = run_with(spec, cold_options);
-    EXPECT_GT(cold.memo_misses, 0u);
+    EXPECT_GT(cold.counter("exec.memo.misses"), 0u);
 
     // Warm run from the saved memo, and in parallel for good measure:
     // every task replays, none re-measures, results identical.
@@ -84,8 +92,8 @@ TEST(ParallelSuite, WarmMemoRunReplaysEveryMeasurement) {
     warm_options.memo_path = path;
     warm_options.jobs = 4;
     const SuiteResult warm = run_with(spec, warm_options);
-    EXPECT_EQ(warm.memo_misses, 0u);
-    EXPECT_GT(warm.memo_hits, 0u);
+    EXPECT_EQ(warm.counter("exec.memo.misses"), 0u);
+    EXPECT_GT(warm.counter("exec.memo.hits"), 0u);
     EXPECT_TRUE(cold.measurements_equal(warm));
     EXPECT_EQ(stripped_profile_text(cold, spec), stripped_profile_text(warm, spec));
 
@@ -97,7 +105,7 @@ TEST(ParallelSuite, MemoOffStillMatchesSerial) {
     SuiteOptions options = trimmed_options(spec);
     options.use_memo = false;
     const SuiteResult no_memo = run_with(spec, options);
-    EXPECT_EQ(no_memo.memo_hits, 0u);
+    EXPECT_EQ(no_memo.counter("exec.memo.hits"), 0u);
 
     const SuiteResult with_memo = run_with(spec, trimmed_options(spec));
     EXPECT_TRUE(no_memo.measurements_equal(with_memo));

@@ -314,6 +314,48 @@ TEST(ToolCli, MissingProfileFails) {
     EXPECT_NE(result.exit_code, 0);
 }
 
+TEST(ToolCli, MalformedProfileExitsTwoAndMissingProfileExitsOne) {
+    // The dempsey golden with a group id past the core-id range: the file
+    // is there and readable, but it is not a valid profile.
+    std::ifstream golden(SERVET_GOLDEN_DIR "/dempsey.profile");
+    std::stringstream buffer;
+    buffer << golden.rdbuf();
+    std::string text = buffer.str();
+    const std::string groups = "groups = 0,1\n";
+    ASSERT_NE(text.find(groups), std::string::npos);
+    text.replace(text.find(groups), groups.size(), "groups = 4294967296,1\n");
+    const std::string malformed = ::testing::TempDir() + "/tool_cli_malformed_" +
+                                  std::to_string(::getpid()) + ".profile";
+    std::ofstream(malformed, std::ios::trunc) << text;
+
+    for (const char* command : {"report", "validate", "price", "map", "broadcast"}) {
+        const auto bad = run_tool(std::string(command) + " --profile " + malformed);
+        EXPECT_EQ(bad.exit_code, 2) << command << "\n" << bad.output;
+        EXPECT_NE(bad.output.find("is not a valid servet profile"), std::string::npos)
+            << command << "\n" << bad.output;
+        const auto missing = run_tool(std::string(command) + " --profile /nonexistent.profile");
+        EXPECT_EQ(missing.exit_code, 1) << command << "\n" << missing.output;
+        EXPECT_NE(missing.output.find("no such file"), std::string::npos)
+            << command << "\n" << missing.output;
+    }
+    std::remove(malformed.c_str());
+}
+
+TEST(ToolCli, MemoOnNativeIsRefusedBeforeMeasuring) {
+    // Native measurements have no content fingerprint to key a memo by;
+    // the run must be refused, not measured with the memo silently unused.
+    const std::string tag = std::to_string(::getpid());
+    const std::string memo = ::testing::TempDir() + "/tool_cli_native_" + tag + ".memo";
+    const std::string out = ::testing::TempDir() + "/tool_cli_native_" + tag + ".profile";
+    const auto result =
+        run_tool("profile --machine native --fast --memo " + memo + " --out " + out);
+    EXPECT_EQ(result.exit_code, 2) << result.output;
+    EXPECT_NE(result.output.find("--memo"), std::string::npos) << result.output;
+    EXPECT_EQ(result.output.find("[servet info"), std::string::npos) << result.output;
+    EXPECT_FALSE(std::ifstream(memo).good());
+    EXPECT_FALSE(std::ifstream(out).good());
+}
+
 TEST(ToolCli, MetricsStableOnlyOmitsVolatileRows) {
     const std::string path = ::testing::TempDir() + "/tool_cli_stable_only.json";
     const auto result =

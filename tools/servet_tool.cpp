@@ -60,8 +60,10 @@ constexpr int kExitPartialProfile = 3;
 /// (runtime failure) so scripts know to use a fresh --run-dir.
 constexpr int kExitIncompatibleJournal = 2;
 
-/// `servet validate` found at least one Error-severity violation (and
-/// --repair, if given, could not clear it).
+/// A profile that is invalid input: its file exists but does not parse
+/// (every command that reads one), or `servet validate` found at least
+/// one Error-severity violation (and --repair, if given, could not clear
+/// it). A missing or unreadable profile file is a runtime failure (1).
 constexpr int kExitInvalidProfile = 2;
 
 /// `servet profile --platform FILE` could not parse the platform file.
@@ -185,11 +187,17 @@ std::optional<FaultPlan> parse_faults(const CliParser& cli) {
     return faults;
 }
 
-/// The stored profile at `path`; nullopt after a diagnostic.
-std::optional<core::Profile> load_profile(const std::string& path) {
+/// The stored profile at `path`; nullopt after a diagnostic, with
+/// `*exit_code` set: 1 when the file is missing or unreadable, and
+/// kExitInvalidProfile when it was read but does not parse.
+std::optional<core::Profile> load_profile(const std::string& path, int* exit_code) {
     std::string diagnostic;
-    std::optional<core::Profile> profile = core::Profile::load(path, &diagnostic);
-    if (!profile) std::fprintf(stderr, "%s\n", diagnostic.c_str());
+    FileRead read = FileRead::Error;
+    std::optional<core::Profile> profile = core::Profile::load(path, &diagnostic, &read);
+    if (!profile) {
+        std::fprintf(stderr, "%s\n", diagnostic.c_str());
+        *exit_code = read == FileRead::Ok ? kExitInvalidProfile : 1;
+    }
     return profile;
 }
 
@@ -308,6 +316,16 @@ int cmd_profile(const CliParser& cli) {
     }
     std::optional<MeasureStack> stack = make_measure_stack(cli, std::move(platform_target));
     if (!stack) return kExitUsage;
+    // The memo is keyed by the substrate's content fingerprint. Without
+    // one (native hardware) the run would measure and write no memo.
+    if (!cli.option("memo").empty() &&
+        core::MeasureEngine(stack->platform, stack->network, nullptr, nullptr).fingerprint() ==
+            0) {
+        std::fprintf(stderr, "--memo cannot be used with %s: its measurements are not "
+                     "replayable, so no memo would be written\n",
+                     stack->platform->name().c_str());
+        return kExitUsage;
+    }
 
     core::SuiteOptions options = make_suite_options(cli);
     const bool is_cluster = restrict_cluster_to_comm(stack->target, options);
@@ -336,10 +354,12 @@ int cmd_profile(const CliParser& cli) {
         std::fprintf(stderr, "%s\n", e.what());
         return kExitIncompatibleJournal;
     }
-    if (result.journal_replayed > 0)
+    const std::uint64_t replayed = result.counter("suite.journal.phases.replayed");
+    if (replayed > 0)
         std::printf("journal: %llu phase(s) replayed, %llu re-measured\n",
-                    static_cast<unsigned long long>(result.journal_replayed),
-                    static_cast<unsigned long long>(result.journal_appended));
+                    static_cast<unsigned long long>(replayed),
+                    static_cast<unsigned long long>(
+                        result.counter("suite.journal.phases.appended")));
     // Export failures must not abort before the profile lands: the
     // measurement (possibly hours of it) is the product, the exports are
     // side channels. Remember the failure and report it in the exit code
@@ -362,10 +382,12 @@ int cmd_profile(const CliParser& cli) {
             std::printf("metrics written to %s\n", cli.option("metrics").c_str());
         }
     }
-    if (result.memo_hits > 0)
+    const std::uint64_t memo_hits = result.counter("exec.memo.hits");
+    if (memo_hits > 0)
         std::printf("memo: %llu of %llu measurements replayed\n",
-                    static_cast<unsigned long long>(result.memo_hits),
-                    static_cast<unsigned long long>(result.memo_hits + result.memo_misses));
+                    static_cast<unsigned long long>(memo_hits),
+                    static_cast<unsigned long long>(memo_hits +
+                                                    result.counter("exec.memo.misses")));
     core::Profile profile = result.to_profile(
         stack->platform->name(), stack->platform->core_count(), stack->platform->page_size());
     if (is_cluster) core::annotate_cluster_profile(&profile, *stack->target.spec);
@@ -399,8 +421,9 @@ void report_options(CliParser& cli) {
 }
 
 int cmd_report(const CliParser& cli) {
-    const auto profile = load_profile(cli.option("profile"));
-    if (!profile) return 1;
+    int exit_code = 0;
+    const auto profile = load_profile(cli.option("profile"), &exit_code);
+    if (!profile) return exit_code;
     if (cli.flag("markdown")) {
         std::printf("%s", core::render_markdown(*profile).c_str());
         return 0;
@@ -496,8 +519,9 @@ void price_options(CliParser& cli) {
 }
 
 int cmd_price(const CliParser& cli) {
-    const auto profile = load_profile(cli.option("profile"));
-    if (!profile) return 1;
+    int exit_code = 0;
+    const auto profile = load_profile(cli.option("profile"), &exit_code);
+    if (!profile) return exit_code;
     const CorePair pair{int_option(cli, "from"), int_option(cli, "to")};
     const auto size = static_cast<Bytes>(*cli.option_int("size"));
     const auto latency = profile->comm_latency(pair, size);
@@ -521,8 +545,9 @@ void map_options(CliParser& cli) {
 }
 
 int cmd_map(const CliParser& cli) {
-    const auto profile = load_profile(cli.option("profile"));
-    if (!profile) return 1;
+    int exit_code = 0;
+    const auto profile = load_profile(cli.option("profile"), &exit_code);
+    if (!profile) return exit_code;
     const int ranks = int_option(cli, "ranks");
     if (ranks > profile->cores) {
         std::fprintf(stderr, "ranks must be in [2, %d]\n", profile->cores);
@@ -561,8 +586,9 @@ void broadcast_options(CliParser& cli) {
 }
 
 int cmd_broadcast(const CliParser& cli) {
-    const auto profile = load_profile(cli.option("profile"));
-    if (!profile) return 1;
+    int exit_code = 0;
+    const auto profile = load_profile(cli.option("profile"), &exit_code);
+    if (!profile) return exit_code;
     if (profile->cores < 2 || profile->comm.empty()) {
         std::fprintf(stderr, "profile carries no communication characterization\n");
         return 1;
@@ -747,8 +773,9 @@ int cmd_validate(const CliParser& cli) {
         return kExitUsage;
     }
     const std::string& path = cli.option("profile");
-    const std::optional<core::Profile> profile = load_profile(path);
-    if (!profile) return 1;
+    int exit_code = 0;
+    const std::optional<core::Profile> profile = load_profile(path, &exit_code);
+    if (!profile) return exit_code;
 
     const auto print_report = [](const core::ValidationReport& report) {
         for (const core::Violation& v : report.violations) {
@@ -766,8 +793,8 @@ int cmd_validate(const CliParser& cli) {
 
     if (!cli.option("against").empty()) {
         const std::string& baseline_path = cli.option("against");
-        const std::optional<core::Profile> baseline = load_profile(baseline_path);
-        if (!baseline) return 1;
+        const std::optional<core::Profile> baseline = load_profile(baseline_path, &exit_code);
+        if (!baseline) return exit_code;
         if (baseline->machine != profile->machine)
             std::fprintf(stderr, "warning: diffing profiles of different machines "
                          "('%s' vs '%s'); every shift below may just be the hardware\n",
@@ -835,7 +862,8 @@ int cmd_validate(const CliParser& cli) {
         print_report(after);
         std::fprintf(stderr, "repair re-measured %llu phase(s) but the result still "
                      "violates invariants; the measurement itself is suspect\n",
-                     static_cast<unsigned long long>(result.journal_appended));
+                     static_cast<unsigned long long>(
+                         result.counter("suite.journal.phases.appended")));
         return kExitInvalidProfile;
     }
     if (!repaired.save(path)) {
@@ -844,8 +872,11 @@ int cmd_validate(const CliParser& cli) {
     }
     std::printf("repair: %llu phase(s) replayed, %llu re-measured; valid profile "
                 "rewritten to %s\n",
-                static_cast<unsigned long long>(result.journal_replayed),
-                static_cast<unsigned long long>(result.journal_appended), path.c_str());
+                static_cast<unsigned long long>(
+                    result.counter("suite.journal.phases.replayed")),
+                static_cast<unsigned long long>(
+                    result.counter("suite.journal.phases.appended")),
+                path.c_str());
     return 0;
 }
 
@@ -939,8 +970,9 @@ int cmd_tune(const CliParser& cli) {
     // on the modeled machines this command is built for).
     core::Profile profile;
     if (!cli.option("profile").empty()) {
-        const auto loaded = load_profile(cli.option("profile"));
-        if (!loaded) return kExitUsage;
+        int exit_code = 0;
+        const auto loaded = load_profile(cli.option("profile"), &exit_code);
+        if (!loaded) return exit_code;
         profile = *loaded;
     } else {
         // The prior only needs the rough shape (cache sizes, the
