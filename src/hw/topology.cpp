@@ -77,8 +77,7 @@ std::vector<SysfsCache> sysfs_caches(CoreId core, const std::string& sysfs_cpu_r
         const auto level = parse_sysfs_level(*level_text);
         if (!level) continue;  // malformed index: skip it, don't invent a level-0 cache
         cache.level = *level;
-        cache.type = read_file(dir + "type").value_or("");
-        while (!cache.type.empty() && cache.type.back() == '\n') cache.type.pop_back();
+        cache.type = trim(read_file(dir + "type").value_or(""));
         if (cache.type == "Instruction") continue;
 
         if (const auto size_text = read_file(dir + "size"))

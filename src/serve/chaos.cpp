@@ -5,14 +5,13 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 
 #include "base/rng.hpp"
 #include "serve/http.hpp"
+#include "serve/socket.hpp"
 
 namespace servet::serve {
 
@@ -20,31 +19,11 @@ namespace {
 
 constexpr std::size_t kMaxRelayBytes = 4 * 1024 * 1024;
 
-void close_fd(int& fd) {
-    if (fd >= 0) ::close(fd);
-    fd = -1;
-}
-
 void set_recv_timeout(int fd, int milliseconds) {
     timeval tv{};
     tv.tv_sec = milliseconds / 1000;
     tv.tv_usec = (milliseconds % 1000) * 1000;
     (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-}
-
-bool send_all(int fd, std::string_view bytes) {
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-        const ssize_t n =
-            ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-        if (n > 0) {
-            sent += static_cast<std::size_t>(n);
-            continue;
-        }
-        if (n < 0 && errno == EINTR) continue;
-        return false;
-    }
-    return true;
 }
 
 }  // namespace
@@ -92,27 +71,8 @@ std::vector<ChaosProxy::FaultKind> ChaosProxy::injected() const {
 }
 
 bool ChaosProxy::start(std::string* error) {
-    const auto fail = [&](const char* what) {
-        if (error != nullptr) *error = std::string(what) + ": " + std::strerror(errno);
-        close_fd(listen_fd_);
-        return false;
-    };
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) return fail("socket");
-    const int one = 1;
-    (void)::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = 0;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0)
-        return fail("bind");
-    if (::listen(listen_fd_, 64) != 0) return fail("listen");
-    sockaddr_in bound{};
-    socklen_t bound_len = sizeof bound;
-    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &bound_len) != 0)
-        return fail("getsockname");
-    port_ = ntohs(bound.sin_port);
+    listen_fd_ = open_listener("127.0.0.1", 0, 64, &port_, error);
+    if (listen_fd_ < 0) return false;
     accept_thread_ = std::thread([this] { accept_loop(); });
     started_ = true;
     return true;

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "base/text.hpp"
 
@@ -9,11 +12,27 @@ namespace servet::serve {
 
 namespace {
 
+using Limits = HttpParser::Limits;
+
+/// Why a message was refused: the status a server answers with (the
+/// client keeps only the reason) and the reason text.
+struct Refusal {
+    int status = 0;
+    std::string reason;
+};
+
 std::string to_lower(std::string_view text) {
     std::string out(text);
     std::transform(out.begin(), out.end(), out.begin(),
                    [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
     return out;
+}
+
+bool iequals(std::string_view a, std::string_view b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](unsigned char x, unsigned char y) {
+                          return std::tolower(x) == std::tolower(y);
+                      });
 }
 
 /// A method token per RFC 9110: at least one tchar; the service only ever
@@ -26,21 +45,103 @@ bool valid_method(std::string_view method) {
     });
 }
 
-/// Case-insensitive token search in a comma-separated header value.
-bool connection_lists(std::string_view value, std::string_view token) {
-    const std::string lowered = to_lower(value);
+/// Case-insensitive token search in the items of a comma-separated
+/// header value.
+bool lists_token(const std::vector<std::string_view>& items, std::string_view token) {
+    return std::any_of(items.begin(), items.end(),
+                       [&](std::string_view item) { return iequals(trim(item), token); });
+}
+
+/// A head cut from the front of a buffer by frame_head().
+struct Head {
+    enum class Cut { Incomplete, Complete, TooLarge } cut = Cut::Incomplete;
+    std::string_view text;     ///< the head without its blank line
+    std::size_t consumed = 0;  ///< the head plus its blank line
+};
+
+/// The head framer: a head ends at the first blank line — CRLFCRLF, or
+/// bare LFLF so hand-typed traffic parses too — and is refused past
+/// `max_head_bytes` whether or not its end has arrived yet.
+Head frame_head(std::string_view buffer, std::size_t max_head_bytes) {
+    const std::size_t crlf = buffer.find("\r\n\r\n");
+    const std::size_t lf = buffer.find("\n\n");
+    const bool ends_crlf = crlf != std::string_view::npos && crlf < lf;
+    const std::size_t end = ends_crlf ? crlf : lf;
+    if (std::min(end, buffer.size()) > max_head_bytes) return {Head::Cut::TooLarge, {}, 0};
+    if (end == std::string_view::npos) return {Head::Cut::Incomplete, {}, 0};
+    return {Head::Cut::Complete, buffer.substr(0, end), end + (ends_crlf ? 4 : 2)};
+}
+
+std::string head_too_large(const char* what, const Limits& limits) {
+    return std::string(what) + " head exceeds " + std::to_string(limits.max_head_bytes) +
+           " bytes";
+}
+
+/// Splits a head into its trimmed start line and the field lines after it.
+std::pair<std::string_view, std::string_view> split_start_line(std::string_view head) {
+    const std::size_t end = std::min(head.find('\n'), head.size());
+    return {trim(head.substr(0, end)), head.substr(std::min(end + 1, head.size()))};
+}
+
+/// The minor version of "HTTP/1.0" or "HTTP/1.1"; no other version parses.
+std::optional<int> parse_version(std::string_view version) {
+    if (version == "HTTP/1.1") return 1;
+    if (version == "HTTP/1.0") return 0;
+    return std::nullopt;
+}
+
+/// The header-field loop: one "name: value" per line, the name free of
+/// whitespace and stored lowercased, the value trimmed; blank lines skip.
+std::optional<Refusal> parse_fields(std::string_view lines, HttpMessage& message) {
     std::size_t pos = 0;
-    while (pos <= lowered.size()) {
-        const std::size_t comma = std::min(lowered.find(',', pos), lowered.size());
-        if (trim(std::string_view(lowered).substr(pos, comma - pos)) == token) return true;
-        pos = comma + 1;
+    while (pos < lines.size()) {
+        const std::size_t line_end = std::min(lines.find('\n', pos), lines.size());
+        const std::string_view line = trim(lines.substr(pos, line_end - pos));
+        pos = line_end + 1;
+        if (line.empty()) continue;
+        const std::size_t colon = line.find(':');
+        if (colon == std::string_view::npos || colon == 0)
+            return Refusal{400, "malformed header line"};
+        const std::string_view name = line.substr(0, colon);
+        if (name.find_first_of(" \t") != std::string_view::npos)
+            return Refusal{400, "whitespace in header name"};
+        message.headers[to_lower(name)] = std::string(trim(line.substr(colon + 1)));
     }
-    return false;
+    return std::nullopt;
+}
+
+/// The body cap, for a declared content-length and for a body read until
+/// EOF alike.
+std::optional<Refusal> refuse_body(std::size_t length, const Limits& limits) {
+    if (length <= limits.max_body_bytes) return std::nullopt;
+    return Refusal{413, "body exceeds " + std::to_string(limits.max_body_bytes) + " bytes"};
+}
+
+/// The body-length rule: transfer-encoding is refused; a `bodiless`
+/// message has length 0 whatever its headers say; otherwise content-length
+/// gives the length, within the body cap, and its absence leaves
+/// `*length` as it was (empty).
+std::optional<Refusal> read_body_length(const HttpMessage& message, bool bodiless,
+                                        const Limits& limits,
+                                        std::optional<std::size_t>* length) {
+    if (message.header("transfer-encoding") != nullptr)
+        return Refusal{501, "transfer-encoding is not supported"};
+    if (bodiless) {
+        *length = 0;
+        return std::nullopt;
+    }
+    const std::string* text = message.header("content-length");
+    if (text == nullptr) return std::nullopt;
+    const auto value = parse_int<std::size_t>(*text);
+    if (!value) return Refusal{400, "malformed content-length"};
+    if (auto refusal = refuse_body(*value, limits)) return refusal;
+    *length = *value;
+    return std::nullopt;
 }
 
 }  // namespace
 
-const std::string* HttpRequest::header(const std::string& name) const {
+const std::string* HttpMessage::header(const std::string& name) const {
     const auto it = headers.find(name);
     return it == headers.end() ? nullptr : &it->second;
 }
@@ -67,9 +168,10 @@ HttpRequest HttpParser::take_request() {
     return request;
 }
 
-void HttpParser::fail(int status, std::string reason) {
+bool HttpParser::fail(int status, std::string reason) {
     error_status_ = status;
     error_reason_ = std::move(reason);
+    return false;
 }
 
 void HttpParser::parse_available() {
@@ -77,33 +179,15 @@ void HttpParser::parse_available() {
     // pipelined ones, or both.
     while (error_status_ == 0) {
         if (phase_ == Phase::Head) {
-            // Head ends at the first blank line; tolerate both CRLF and
-            // bare LF so hand-typed test traffic parses too.
-            std::size_t head_end = std::string::npos;
-            std::size_t body_start = 0;
-            const std::size_t crlf = buffer_.find("\r\n\r\n");
-            const std::size_t lf = buffer_.find("\n\n");
-            if (crlf != std::string::npos && (lf == std::string::npos || crlf < lf)) {
-                head_end = crlf;
-                body_start = crlf + 4;
-            } else if (lf != std::string::npos) {
-                head_end = lf;
-                body_start = lf + 2;
-            }
-            if (head_end == std::string::npos) {
-                if (buffer_.size() > limits_.max_head_bytes)
-                    fail(431, "request head exceeds " +
-                                  std::to_string(limits_.max_head_bytes) + " bytes");
-                return;  // NeedMore
-            }
-            if (head_end > limits_.max_head_bytes) {
-                fail(431, "request head exceeds " +
-                              std::to_string(limits_.max_head_bytes) + " bytes");
+            const Head head = frame_head(buffer_, limits_.max_head_bytes);
+            if (head.cut == Head::Cut::TooLarge) {
+                fail(431, head_too_large("request", limits_));
                 return;
             }
-            const std::string head = buffer_.substr(0, head_end);
-            buffer_.erase(0, body_start);
-            if (!parse_head(head)) return;
+            if (head.cut == Head::Cut::Incomplete) return;  // NeedMore
+            const bool parsed = parse_head(head.text);
+            buffer_.erase(0, head.consumed);
+            if (!parsed) return;
             phase_ = Phase::Body;
         }
 
@@ -122,90 +206,36 @@ bool HttpParser::parse_head(std::string_view head) {
     pending_ = HttpRequest{};
 
     // Request line: METHOD SP TARGET SP HTTP/1.x
-    std::size_t line_end = std::min(head.find('\n'), head.size());
-    std::string_view request_line = trim(head.substr(0, line_end));
+    const auto [request_line, fields] = split_start_line(head);
     const std::size_t sp1 = request_line.find(' ');
     const std::size_t sp2 =
-        sp1 == std::string_view::npos ? std::string_view::npos
-                                      : request_line.find(' ', sp1 + 1);
-    if (sp1 == std::string_view::npos || sp2 == std::string_view::npos) {
-        fail(400, "malformed request line");
-        return false;
-    }
+        sp1 == std::string_view::npos ? sp1 : request_line.find(' ', sp1 + 1);
+    if (sp2 == std::string_view::npos) return fail(400, "malformed request line");
     pending_.method = std::string(request_line.substr(0, sp1));
     pending_.target = std::string(trim(request_line.substr(sp1 + 1, sp2 - sp1 - 1)));
-    const std::string_view version = trim(request_line.substr(sp2 + 1));
-    if (!valid_method(pending_.method)) {
-        fail(400, "malformed method token");
-        return false;
-    }
-    if (pending_.target.empty() || pending_.target.front() != '/') {
-        fail(400, "request target must be an absolute path");
-        return false;
-    }
-    if (version == "HTTP/1.1") {
-        pending_.version_minor = 1;
-    } else if (version == "HTTP/1.0") {
-        pending_.version_minor = 0;
-    } else {
-        fail(400, "unsupported protocol version");
-        return false;
-    }
+    if (!valid_method(pending_.method)) return fail(400, "malformed method token");
+    if (pending_.target.empty() || pending_.target.front() != '/')
+        return fail(400, "request target must be an absolute path");
+    const auto minor = parse_version(trim(request_line.substr(sp2 + 1)));
+    if (!minor) return fail(400, "unsupported protocol version");
+    pending_.version_minor = *minor;
     const std::size_t q = pending_.target.find('?');
     pending_.path = pending_.target.substr(0, q);
     pending_.query = q == std::string::npos ? "" : pending_.target.substr(q + 1);
 
-    // Header lines.
-    std::size_t pos = line_end == head.size() ? head.size() : line_end + 1;
-    while (pos < head.size()) {
-        line_end = std::min(head.find('\n', pos), head.size());
-        const std::string_view line =
-            trim(std::string_view(head).substr(pos, line_end - pos));
-        pos = line_end + 1;
-        if (line.empty()) continue;
-        const std::size_t colon = line.find(':');
-        if (colon == std::string_view::npos || colon == 0) {
-            fail(400, "malformed header line");
-            return false;
-        }
-        const std::string_view name = line.substr(0, colon);
-        if (name.find(' ') != std::string_view::npos ||
-            name.find('\t') != std::string_view::npos) {
-            fail(400, "whitespace in header name");
-            return false;
-        }
-        pending_.headers[to_lower(name)] = std::string(trim(line.substr(colon + 1)));
-    }
-
-    if (pending_.header("transfer-encoding") != nullptr) {
-        fail(501, "transfer-encoding is not supported");
-        return false;
-    }
-    body_remaining_ = 0;
-    if (const std::string* length = pending_.header("content-length")) {
-        const auto value = parse_int<std::size_t>(*length);
-        if (!value) {
-            fail(400, "malformed content-length");
-            return false;
-        }
-        if (*value > limits_.max_body_bytes) {
-            fail(413, "body exceeds " + std::to_string(limits_.max_body_bytes) + " bytes");
-            return false;
-        }
-        body_remaining_ = *value;
-    }
+    std::optional<std::size_t> length;
+    auto refusal = parse_fields(fields, pending_);
+    if (!refusal) refusal = read_body_length(pending_, /*bodiless=*/false, limits_, &length);
+    if (refusal) return fail(refusal->status, std::move(refusal->reason));
+    body_remaining_ = length.value_or(0);
 
     pending_.keep_alive = pending_.version_minor >= 1;
     if (const std::string* connection = pending_.header("connection")) {
-        if (connection_lists(*connection, "close")) pending_.keep_alive = false;
-        if (connection_lists(*connection, "keep-alive")) pending_.keep_alive = true;
+        const auto items = split(*connection, ',');
+        if (lists_token(items, "close")) pending_.keep_alive = false;
+        if (lists_token(items, "keep-alive")) pending_.keep_alive = true;
     }
     return true;
-}
-
-const std::string* HttpResponse::header(const std::string& name) const {
-    const auto it = headers.find(name);
-    return it == headers.end() ? nullptr : &it->second;
 }
 
 std::string HttpResponse::etag_token() const {
@@ -226,48 +256,33 @@ HttpResponseParser::State HttpResponseParser::state() const {
     return phase_ == Phase::Done ? State::Complete : State::NeedMore;
 }
 
-void HttpResponseParser::fail(std::string reason) { error_reason_ = std::move(reason); }
+bool HttpResponseParser::fail(std::string reason) {
+    error_reason_ = std::move(reason);
+    return false;
+}
 
 HttpResponseParser::State HttpResponseParser::feed(std::string_view bytes) {
     if (state() != State::NeedMore) return state();
     buffer_.append(bytes.data(), bytes.size());
 
     if (phase_ == Phase::Head) {
-        // Head ends at the first blank line; tolerate CRLF and bare LF
-        // like the request parser.
-        std::size_t head_end = std::string::npos;
-        std::size_t body_start = 0;
-        const std::size_t crlf = buffer_.find("\r\n\r\n");
-        const std::size_t lf = buffer_.find("\n\n");
-        if (crlf != std::string::npos && (lf == std::string::npos || crlf < lf)) {
-            head_end = crlf;
-            body_start = crlf + 4;
-        } else if (lf != std::string::npos) {
-            head_end = lf;
-            body_start = lf + 2;
-        }
-        if (head_end == std::string::npos) {
-            if (buffer_.size() > limits_.max_head_bytes)
-                fail("response head exceeds " + std::to_string(limits_.max_head_bytes) +
-                     " bytes");
-            return state();
-        }
-        const std::string head = buffer_.substr(0, head_end);
-        buffer_.erase(0, body_start);
-        if (!parse_head(head)) return state();
+        const Head head = frame_head(buffer_, limits_.max_head_bytes);
+        if (head.cut == Head::Cut::TooLarge) fail(head_too_large("response", limits_));
+        if (head.cut != Head::Cut::Complete) return state();
+        const bool parsed = parse_head(head.text);
+        buffer_.erase(0, head.consumed);
+        if (!parsed) return state();
         phase_ = Phase::Body;
     }
 
-    if (phase_ == Phase::Body && !until_eof_) {
-        if (buffer_.size() > body_remaining_) {
-            fail("bytes past the declared response body");
-            return state();
-        }
-        if (buffer_.size() == body_remaining_) {
-            response_.body = std::move(buffer_);
-            buffer_.clear();
-            phase_ = Phase::Done;
-        }
+    if (until_eof_) {  // held to the same cap as a declared length
+        if (auto refusal = refuse_body(buffer_.size(), limits_)) fail(refusal->reason);
+    } else if (buffer_.size() > body_remaining_) {
+        fail("bytes past the declared response body");
+    } else if (buffer_.size() == body_remaining_) {
+        response_.body = std::move(buffer_);
+        buffer_.clear();
+        phase_ = Phase::Done;
     }
     return state();
 }
@@ -286,81 +301,29 @@ HttpResponseParser::State HttpResponseParser::finish_eof() {
 
 bool HttpResponseParser::parse_head(std::string_view head) {
     // Status line: HTTP/1.x SP NNN [SP reason]
-    std::size_t line_end = std::min(head.find('\n'), head.size());
-    const std::string_view status_line = trim(head.substr(0, line_end));
+    const auto [status_line, fields] = split_start_line(head);
     const std::size_t sp1 = status_line.find(' ');
-    if (sp1 == std::string_view::npos) {
-        fail("malformed status line");
-        return false;
-    }
-    const std::string_view version = status_line.substr(0, sp1);
-    if (version == "HTTP/1.1") {
-        response_.version_minor = 1;
-    } else if (version == "HTTP/1.0") {
-        response_.version_minor = 0;
-    } else {
-        fail("unsupported protocol version");
-        return false;
-    }
+    if (sp1 == std::string_view::npos) return fail("malformed status line");
+    const auto minor = parse_version(status_line.substr(0, sp1));
+    if (!minor) return fail("unsupported protocol version");
+    response_.version_minor = *minor;
     const std::string_view rest = trim(status_line.substr(sp1 + 1));
     const std::size_t sp2 = std::min(rest.find(' '), rest.size());
-    const std::string_view code = rest.substr(0, sp2);
-    const auto status = parse_int<int>(code);
-    if (!status || *status < 100 || *status > 599) {
-        fail("malformed status code");
-        return false;
-    }
+    const auto status = parse_int<int>(rest.substr(0, sp2));
+    if (!status || *status < 100 || *status > 599) return fail("malformed status code");
     response_.status = *status;
     if (sp2 < rest.size()) response_.reason = std::string(trim(rest.substr(sp2 + 1)));
 
-    // Header lines — same grammar as requests.
-    std::size_t pos = line_end == head.size() ? head.size() : line_end + 1;
-    while (pos < head.size()) {
-        line_end = std::min(head.find('\n', pos), head.size());
-        const std::string_view line =
-            trim(std::string_view(head).substr(pos, line_end - pos));
-        pos = line_end + 1;
-        if (line.empty()) continue;
-        const std::size_t colon = line.find(':');
-        if (colon == std::string_view::npos || colon == 0) {
-            fail("malformed header line");
-            return false;
-        }
-        const std::string_view name = line.substr(0, colon);
-        if (name.find(' ') != std::string_view::npos ||
-            name.find('\t') != std::string_view::npos) {
-            fail("whitespace in header name");
-            return false;
-        }
-        response_.headers[to_lower(name)] = std::string(trim(line.substr(colon + 1)));
-    }
-
-    if (response_.header("transfer-encoding") != nullptr) {
-        fail("transfer-encoding is not supported");
-        return false;
-    }
     // 304/204/1xx never carry a body regardless of headers; otherwise a
     // content-length delimits it and its absence means read-to-EOF.
     const bool bodiless =
         response_.status == 304 || response_.status == 204 || response_.status < 200;
-    body_remaining_ = 0;
-    until_eof_ = false;
-    if (!bodiless) {
-        if (const std::string* length = response_.header("content-length")) {
-            const auto value = parse_int<std::size_t>(*length);
-            if (!value) {
-                fail("malformed content-length");
-                return false;
-            }
-            if (*value > limits_.max_body_bytes) {
-                fail("body exceeds " + std::to_string(limits_.max_body_bytes) + " bytes");
-                return false;
-            }
-            body_remaining_ = *value;
-        } else {
-            until_eof_ = true;
-        }
-    }
+    std::optional<std::size_t> length;
+    auto refusal = parse_fields(fields, response_);
+    if (!refusal) refusal = read_body_length(response_, bodiless, limits_, &length);
+    if (refusal) return fail(std::move(refusal->reason));
+    until_eof_ = !length.has_value();
+    body_remaining_ = length.value_or(0);
     return true;
 }
 
@@ -385,20 +348,11 @@ std::string_view status_reason(int status) {
 }
 
 bool etag_list_matches(const std::string& header_value, const std::string& etag) {
-    std::size_t pos = 0;
-    while (pos <= header_value.size()) {
-        const std::size_t comma =
-            std::min(header_value.find(',', pos), header_value.size());
-        std::string candidate = header_value.substr(pos, comma - pos);
-        pos = comma + 1;
-        const auto strip = [&](char c) {
-            while (!candidate.empty() && candidate.front() == c)
-                candidate.erase(candidate.begin());
-            while (!candidate.empty() && candidate.back() == c) candidate.pop_back();
-        };
-        strip(' ');
-        if (candidate.starts_with("W/")) candidate.erase(0, 2);
-        strip('"');
+    for (std::string_view candidate : split(header_value, ',')) {
+        candidate = trim(candidate);
+        if (candidate.starts_with("W/")) candidate.remove_prefix(2);
+        while (candidate.starts_with('"')) candidate.remove_prefix(1);
+        while (candidate.ends_with('"')) candidate.remove_suffix(1);
         if (candidate == "*" || candidate == etag) return true;
     }
     return false;

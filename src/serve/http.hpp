@@ -1,7 +1,10 @@
-// Minimal HTTP/1.1 for the profile service: an incremental request parser
-// built for a non-blocking read loop (bytes arrive in arbitrary chunks —
-// a request may be torn across many reads, or several pipelined requests
-// may land in one), plus the response serializer. Only what `servet
+// Minimal HTTP/1.1 for the profile service: incremental request and
+// response parsers built for socket read loops (bytes arrive in arbitrary
+// chunks — a message may be torn across many reads, or several pipelined
+// requests may land in one), plus the response serializer. Both parsers
+// share one message grammar: the head framer and its limit, the
+// header-field loop, the version check and the body-length rule; each
+// adds only its start line and its framing policy. Only what `servet
 // serve` speaks: GET/PUT, Content-Length bodies, keep-alive, ETag /
 // If-None-Match. Anything outside that maps to a definite 4xx/5xx status
 // rather than undefined behavior — the parser is the first thing on the
@@ -16,20 +19,25 @@
 
 namespace servet::serve {
 
-struct HttpRequest {
-    std::string method;  ///< verbatim ("GET", "PUT", ...)
-    std::string target;  ///< raw request target as sent
-    std::string path;    ///< target up to '?'
-    std::string query;   ///< after '?', empty when absent
+/// What requests and responses share, read by one grammar in both
+/// directions: the version, the header fields and the body.
+struct HttpMessage {
     int version_minor = 1;  ///< HTTP/1.<minor>; only 0 and 1 parse
     /// Header names lowercased (HTTP names are case-insensitive); values
     /// trimmed. Duplicate names: last one wins.
     std::map<std::string, std::string> headers;
     std::string body;
-    bool keep_alive = true;
 
     /// Header value or nullptr. `name` must already be lowercase.
     [[nodiscard]] const std::string* header(const std::string& name) const;
+};
+
+struct HttpRequest : HttpMessage {
+    std::string method;  ///< verbatim ("GET", "PUT", ...)
+    std::string target;  ///< raw request target as sent
+    std::string path;    ///< target up to '?'
+    std::string query;   ///< after '?', empty when absent
+    bool keep_alive = true;
 };
 
 /// Incremental request parser: feed() arbitrary byte chunks, pop complete
@@ -39,8 +47,8 @@ struct HttpRequest {
 class HttpParser {
   public:
     struct Limits {
-        std::size_t max_head_bytes = 8 * 1024;         ///< request line + headers
-        std::size_t max_body_bytes = 16 * 1024 * 1024; ///< Content-Length cap
+        std::size_t max_head_bytes = 8 * 1024;         ///< start line + headers
+        std::size_t max_body_bytes = 16 * 1024 * 1024; ///< body cap, however delimited
     };
 
     enum class State {
@@ -73,7 +81,7 @@ class HttpParser {
 
     void parse_available();
     bool parse_head(std::string_view head);
-    void fail(int status, std::string reason);
+    bool fail(int status, std::string reason);  ///< always false
 
     Limits limits_;
     std::string buffer_;
@@ -85,27 +93,21 @@ class HttpParser {
     std::string error_reason_;
 };
 
-struct HttpResponse {
+struct HttpResponse : HttpMessage {
     int status = 0;
     std::string reason;
-    int version_minor = 1;
-    /// Header names lowercased, values trimmed — same grammar as requests.
-    std::map<std::string, std::string> headers;
-    std::string body;
 
-    /// Header value or nullptr. `name` must already be lowercase.
-    [[nodiscard]] const std::string* header(const std::string& name) const;
     /// The etag header's raw token with the wire quotes stripped; empty
     /// when absent (render_response always quotes, so this inverts it).
     [[nodiscard]] std::string etag_token() const;
 };
 
 /// Incremental response parser — the client half of the protocol
-/// (`servet fetch`). Same torn-chunk discipline and header grammar as
+/// (`servet fetch`). Same torn-chunk discipline, grammar and limits as
 /// HttpParser; one response per connection. A response without
 /// content-length (and that isn't a bodiless 304/204/1xx) is delimited
 /// by connection close: call finish_eof() when the peer closes to
-/// complete it.
+/// complete it. Its body is held to max_body_bytes all the same.
 class HttpResponseParser {
   public:
     enum class State {
@@ -131,7 +133,7 @@ class HttpResponseParser {
     enum class Phase { Head, Body, Done };
 
     bool parse_head(std::string_view head);
-    void fail(std::string reason);
+    bool fail(std::string reason);  ///< always false
 
     HttpParser::Limits limits_;
     std::string buffer_;

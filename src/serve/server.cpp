@@ -1,10 +1,7 @@
 #include "serve/server.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -15,17 +12,11 @@
 #include <cstring>
 
 #include "base/fs.hpp"
+#include "serve/socket.hpp"
 
 namespace servet::serve {
 
 namespace {
-/// EINTR-proof close; the fds here are sockets, retrying close on EINTR
-/// would be wrong (Linux closes the fd regardless), so just call once.
-void close_fd(int& fd) {
-    if (fd >= 0) ::close(fd);
-    fd = -1;
-}
-
 /// Width of one timer-wheel slot. Fine enough that sub-second idle
 /// timeouts (tests) reap promptly; coarse enough that the wheel for the
 /// default 30s timeout stays small.
@@ -62,28 +53,8 @@ bool ServeServer::start(std::string* error) {
         return false;
     }
 
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) return fail("socket");
-    const int one = 1;
-    (void)::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(options_.port);
-    if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) != 1) {
-        if (error != nullptr) *error = "invalid bind address " + options_.bind_address;
-        close_fd(listen_fd_);
-        return false;
-    }
-    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0)
-        return fail("bind " + options_.bind_address + ":" + std::to_string(options_.port));
-    if (::listen(listen_fd_, 512) != 0) return fail("listen");
-
-    sockaddr_in bound{};
-    socklen_t bound_len = sizeof bound;
-    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &bound_len) != 0)
-        return fail("getsockname");
-    port_ = ntohs(bound.sin_port);
+    listen_fd_ = open_listener(options_.bind_address, options_.port, 512, &port_, error);
+    if (listen_fd_ < 0) return false;
 
     epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
     if (epoll_fd_ < 0) return fail("epoll_create1");
@@ -388,31 +359,6 @@ void ServeServer::worker_loop() {
             close_connection(conn);
         }
     }
-}
-
-bool ServeServer::send_all(int fd, std::string_view bytes) {
-    std::size_t sent = 0;
-    int stalls = 0;
-    while (sent < bytes.size()) {
-        const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
-                                 MSG_NOSIGNAL);
-        if (n > 0) {
-            sent += static_cast<std::size_t>(n);
-            stalls = 0;
-            continue;
-        }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-            // A reader that stops draining for 30s is gone (or hostile);
-            // a worker must not be pinned to it forever.
-            if (++stalls > 30) return false;
-            pollfd waiter{fd, POLLOUT, 0};
-            (void)::poll(&waiter, 1, 1000);
-            continue;
-        }
-        if (n < 0 && errno == EINTR) continue;
-        return false;
-    }
-    return true;
 }
 
 bool ServeServer::serve_ready_requests(Connection* conn) {

@@ -105,7 +105,6 @@ class ServeServer {
     /// reaper can never free a connection the worker still holds. Closes
     /// it when re-arming fails.
     void release_connection(Connection* conn);
-    [[nodiscard]] bool send_all(int fd, std::string_view bytes);
 
     // ---- idle-connection timer wheel (slow-loris defense) ----
     // Hashed wheel with fixed-width slots; a connection sits in the slot

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "base/fs.hpp"
+#include "base/text.hpp"
 #include "core/profile.hpp"
 #include "serve/http.hpp"
 
@@ -116,9 +117,9 @@ std::optional<std::string> ProfileStore::head(const std::string& fingerprint) {
         const auto it = heads_.find(fingerprint);
         if (it != heads_.end()) return it->second;
     }
-    std::string text;
-    if (read_file(head_path(fingerprint), &text) != FileRead::Ok) return std::nullopt;
-    while (!text.empty() && (text.back() == '\n' || text.back() == '\r')) text.pop_back();
+    std::string raw;
+    if (read_file(head_path(fingerprint), &raw) != FileRead::Ok) return std::nullopt;
+    const std::string text(trim(raw));
     if (!valid_key(text)) return std::nullopt;  // corrupt HEAD: treat as absent
     std::lock_guard<std::mutex> lock(mutex_);
     heads_[fingerprint] = text;

@@ -31,6 +31,14 @@ struct GeometryCase {
     bool valid;
 };
 
+// Names each case by its fields; the default byte dump would include the
+// uninitialised padding and vary between builds.
+void PrintTo(const GeometryCase& c, std::ostream* os) {
+    const CacheGeometry& g = c.geometry;
+    *os << g.size << " B " << g.line_size << " B lines " << g.associativity << " ways "
+        << (g.physically_indexed ? "physical" : "virtual") << (c.valid ? " valid" : " invalid");
+}
+
 class GeometryValidity : public ::testing::TestWithParam<GeometryCase> {};
 
 TEST_P(GeometryValidity, Checks) {

@@ -106,6 +106,12 @@ struct ProbCase {
     Bytes page;
 };
 
+// Names each case by its fields; the default byte dump would include the
+// uninitialised padding and vary between builds.
+void PrintTo(const ProbCase& c, std::ostream* os) {
+    *os << "L2 " << c.l2_size << " B " << c.l2_assoc << " ways " << c.page << " B pages";
+}
+
 class ProbabilisticSweep : public ::testing::TestWithParam<ProbCase> {};
 
 TEST_P(ProbabilisticSweep, RecoversTrueSize) {

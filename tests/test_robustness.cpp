@@ -270,6 +270,54 @@ TEST(Client, ConnectionRefusedRetriesWithDeterministicTrace) {
     EXPECT_NE(first.trace(), third.trace());  // the seed is the schedule
 }
 
+TEST(Client, EofDelimitedBodyBeyondTheLimitIsMalformed) {
+    // A server that declares no length and sends more than the body cap
+    // before closing: the client refuses the body at the cap instead of
+    // buffering it whole.
+    const int listener = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(listener, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof addr;
+    ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+    ASSERT_EQ(::listen(listener, 1), 0);
+    ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+    const std::size_t cap = HttpParser::Limits{}.max_body_bytes;
+    std::thread server([listener, cap] {
+        const int fd = ::accept(listener, nullptr, nullptr);
+        if (fd < 0) return;
+        std::string request;
+        char chunk[4096];
+        while (request.find("\r\n\r\n") == std::string::npos) {
+            const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+            if (n <= 0) break;
+            request.append(chunk, static_cast<std::size_t>(n));
+        }
+        const auto send_whole = [fd](std::string_view bytes) {
+            return ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+                   static_cast<ssize_t>(bytes.size());
+        };
+        const std::string block(64 * 1024, 'x');
+        bool alive = send_whole("HTTP/1.1 200 OK\r\n\r\n");
+        for (std::size_t body = 0; alive && body <= cap; body += block.size())
+            alive = send_whole(block);
+        ::close(fd);
+    });
+    FetchOptions options;
+    options.port = ntohs(addr.sin_port);
+    options.path = "/v1/healthz";
+    options.retry.max_attempts = 1;
+    const FetchResult result = http_fetch(options);
+    server.join();
+    ::close(listener);
+    EXPECT_FALSE(result.ok);
+    EXPECT_EQ(result.code, "http.malformed");
+    EXPECT_NE(result.error.find("body exceeds " + std::to_string(cap) + " bytes"),
+              std::string::npos)
+        << result.error;
+}
+
 TEST(Client, ConnectToBlackholeIsBoundedByTheTimeout) {
     // Regression: connect() used to run on a blocking socket, ignoring
     // --timeout entirely — a firewalled host pinned the caller for the

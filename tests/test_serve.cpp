@@ -14,6 +14,7 @@
 
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/profile.hpp"
@@ -160,6 +161,145 @@ TEST(HttpParser, TransferEncodingIs501) {
     EXPECT_EQ(parser.feed("PUT / HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n"),
               HttpParser::State::Error);
     EXPECT_EQ(parser.error_status(), 501);
+}
+
+// ---- HttpResponseParser ----
+
+TEST(HttpResponseParser, TornAcrossSingleBytes) {
+    const std::string wire =
+        "HTTP/1.1 200 OK\r\nETag: \"abc\"\r\ncontent-length: 4\r\n\r\nbody";
+    HttpResponseParser parser;
+    for (std::size_t i = 0; i + 1 < wire.size(); ++i)
+        ASSERT_EQ(parser.feed(wire.substr(i, 1)), HttpResponseParser::State::NeedMore) << i;
+    ASSERT_EQ(parser.feed(wire.substr(wire.size() - 1)), HttpResponseParser::State::Complete);
+    const HttpResponse& response = parser.response();
+    EXPECT_EQ(response.status, 200);
+    EXPECT_EQ(response.reason, "OK");
+    EXPECT_EQ(response.version_minor, 1);
+    EXPECT_EQ(response.etag_token(), "abc");
+    EXPECT_EQ(response.body, "body");
+}
+
+struct ResponseCase {
+    const char* name;
+    std::string wire;
+    bool eof;  ///< the peer closes after `wire`: finish_eof()
+    HttpResponseParser::State state;
+    std::string detail;  ///< the body when Complete, the reason when Error
+};
+
+TEST(HttpResponseParser, FramingAndRefusals) {
+    using State = HttpResponseParser::State;
+    const ResponseCase cases[] = {
+        {"content-length body", "HTTP/1.1 200 OK\r\ncontent-length: 3\r\n\r\nabc", false,
+         State::Complete, "abc"},
+        {"bodiless 304 despite content-length",
+         "HTTP/1.1 304 Not Modified\r\netag: \"x\"\r\ncontent-length: 42\r\n\r\n", false,
+         State::Complete, ""},
+        {"bodiless 204", "HTTP/1.1 204 No Content\r\n\r\n", false, State::Complete, ""},
+        {"body delimited by EOF", "HTTP/1.0 200 OK\r\n\r\nuntil close", true,
+         State::Complete, "until close"},
+        {"EOF before the declared body", "HTTP/1.1 200 OK\r\ncontent-length: 5\r\n\r\nab",
+         true, State::Error, "connection closed mid-response"},
+        {"bytes past the declared body", "HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\nabc",
+         false, State::Error, "bytes past the declared response body"},
+        {"malformed status line", "HTTP/1.1\r\n\r\n", false, State::Error,
+         "malformed status line"},
+        {"malformed status code", "HTTP/1.1 2x0 OK\r\n\r\n", false, State::Error,
+         "malformed status code"},
+        {"status code out of range", "HTTP/1.1 600 Odd\r\n\r\n", false, State::Error,
+         "malformed status code"},
+        {"unsupported version", "HTTP/2.0 200 OK\r\n\r\n", false, State::Error,
+         "unsupported protocol version"},
+        {"transfer-encoding", "HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n", false,
+         State::Error, "transfer-encoding is not supported"},
+        {"malformed content-length", "HTTP/1.1 200 OK\r\ncontent-length: 1x\r\n\r\n", false,
+         State::Error, "malformed content-length"},
+        {"declared body over the limit",
+         "HTTP/1.1 200 OK\r\ncontent-length: 16777217\r\n\r\n", false, State::Error,
+         "body exceeds 16777216 bytes"},
+    };
+    for (const ResponseCase& row : cases) {
+        SCOPED_TRACE(row.name);
+        HttpResponseParser parser;
+        (void)parser.feed(row.wire);
+        EXPECT_EQ(row.eof ? parser.finish_eof() : parser.state(), row.state);
+        EXPECT_EQ(row.state == State::Error ? parser.error_reason() : parser.response().body,
+                  row.detail);
+    }
+}
+
+TEST(HttpResponseParser, EofDelimitedBodyIsHeldToTheBodyLimit) {
+    HttpParser::Limits limits;
+    limits.max_body_bytes = 32;
+    const std::string head = "HTTP/1.1 200 OK\r\n\r\n";
+    {
+        HttpResponseParser parser(limits);
+        EXPECT_EQ(parser.feed(head + std::string(32, 'x')),
+                  HttpResponseParser::State::NeedMore);
+        EXPECT_EQ(parser.finish_eof(), HttpResponseParser::State::Complete);
+        EXPECT_EQ(parser.response().body.size(), 32u);
+    }
+    HttpResponseParser parser(limits);
+    EXPECT_EQ(parser.feed(head + std::string(32, 'x')), HttpResponseParser::State::NeedMore);
+    EXPECT_EQ(parser.feed("x"), HttpResponseParser::State::Error);
+    EXPECT_EQ(parser.error_reason(), "body exceeds 32 bytes");
+    EXPECT_EQ(parser.finish_eof(), HttpResponseParser::State::Error);
+}
+
+TEST(HttpResponseParser, CompleteHeadIsHeldToTheHeadLimit) {
+    // The whole head arrives in one read: the limit applies all the same,
+    // in both directions.
+    HttpParser::Limits limits;
+    limits.max_head_bytes = 64;
+    const std::string fields = "x-padding: " + std::string(200, 'a') + "\r\n\r\n";
+    HttpResponseParser response(limits);
+    EXPECT_EQ(response.feed("HTTP/1.1 204 No Content\r\n" + fields),
+              HttpResponseParser::State::Error);
+    EXPECT_EQ(response.error_reason(), "response head exceeds 64 bytes");
+    HttpParser request(limits);
+    EXPECT_EQ(request.feed("GET / HTTP/1.1\r\n" + fields), HttpParser::State::Error);
+    EXPECT_EQ(request.error_status(), 431);
+    EXPECT_EQ(request.error_reason(), "request head exceeds 64 bytes");
+}
+
+// One field grammar: a malformed header line is refused for the same
+// reason whichever direction it travels.
+TEST(HttpGrammar, MalformedFieldLinesRefusedInBothDirections) {
+    const std::pair<const char*, const char*> rows[] = {
+        {"no-colon-here", "malformed header line"},
+        {": empty name", "malformed header line"},
+        {"bad name: x", "whitespace in header name"},
+        {"bad\tname: x", "whitespace in header name"},
+    };
+    for (const auto& [line, reason] : rows) {
+        SCOPED_TRACE(line);
+        HttpParser request;
+        EXPECT_EQ(request.feed("GET / HTTP/1.1\r\n" + std::string(line) + "\r\n\r\n"),
+                  HttpParser::State::Error);
+        EXPECT_EQ(request.error_status(), 400);
+        EXPECT_EQ(request.error_reason(), reason);
+        HttpResponseParser response;
+        EXPECT_EQ(response.feed("HTTP/1.1 200 OK\r\n" + std::string(line) +
+                                "\r\ncontent-length: 0\r\n\r\n"),
+                  HttpResponseParser::State::Error);
+        EXPECT_EQ(response.error_reason(), reason);
+    }
+}
+
+TEST(HttpGrammar, CommaListsMatchTrimmedItems) {
+    EXPECT_TRUE(etag_list_matches("\"abc\"", "abc"));
+    EXPECT_TRUE(etag_list_matches("abc", "abc"));
+    EXPECT_TRUE(etag_list_matches("\"x\", W/\"abc\"", "abc"));
+    EXPECT_TRUE(etag_list_matches("\"x\" ,*", "abc"));
+    EXPECT_FALSE(etag_list_matches("\"abcd\", \"ab\"", "abc"));
+    EXPECT_FALSE(etag_list_matches("", "abc"));
+
+    HttpParser parser;
+    (void)parser.feed("GET / HTTP/1.0\r\nConnection: TE, Keep-Alive\r\n\r\n");
+    EXPECT_TRUE(parser.take_request().keep_alive);
+    (void)parser.feed("GET / HTTP/1.1\r\nConnection: upgrade ,CLOSE\r\n\r\n");
+    EXPECT_FALSE(parser.take_request().keep_alive);
 }
 
 TEST(HttpRender, ConditionalGetResponseShape) {

@@ -17,6 +17,7 @@
 #include "base/fault_plan.hpp"
 #include "base/fs.hpp"
 #include "base/table.hpp"
+#include "base/text.hpp"
 #include "base/units.hpp"
 #include "core/cluster.hpp"
 #include "core/journal.hpp"
@@ -1077,13 +1078,8 @@ int cmd_fetch(const CliParser& cli) {
     std::string existing;
     std::string stored_etag;
     if (read_file(out, &existing) == FileRead::Ok &&
-        read_file(etag_path, &stored_etag) == FileRead::Ok) {
-        while (!stored_etag.empty() &&
-               (stored_etag.back() == '\n' || stored_etag.back() == '\r' ||
-                stored_etag.back() == ' '))
-            stored_etag.pop_back();
-        options.etag = stored_etag;
-    }
+        read_file(etag_path, &stored_etag) == FileRead::Ok)
+        options.etag = trim(stored_etag);
 
     const serve::FetchResult result = serve::http_fetch(options);
     if (cli.flag("trace")) std::fputs(result.trace().c_str(), stdout);
