@@ -25,6 +25,7 @@
 #include "base/text.hpp"
 #include "core/profile.hpp"
 #include "serve/server.hpp"
+#include "serve/socket.hpp"
 
 using namespace servet;
 
@@ -64,18 +65,6 @@ int connect_loopback(std::uint16_t port) {
     return fd;
 }
 
-bool send_all(int fd, std::string_view bytes) {
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-        const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
-                                 MSG_NOSIGNAL);
-        if (n < 0 && errno == EINTR) continue;
-        if (n <= 0) return false;
-        sent += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
 bool recv_exact(int fd, std::size_t want, std::string* out = nullptr) {
     char chunk[64 * 1024];
     std::size_t got = 0;
@@ -93,7 +82,7 @@ bool recv_exact(int fd, std::size_t want, std::string* out = nullptr) {
 /// One request/response exchange; returns the full response (head+body)
 /// by reading the head, then content-length more bytes.
 bool exchange(int fd, const std::string& request, std::string* response) {
-    if (!send_all(fd, request)) return false;
+    if (!serve::send_all(fd, request)) return false;
     response->clear();
     while (response->find("\r\n\r\n") == std::string::npos) {
         if (!recv_exact(fd, 1, response)) return false;
@@ -144,7 +133,7 @@ ScenarioResult run_scenario(const std::string& name, std::uint16_t port,
     const auto deadline = start + std::chrono::duration<double>(seconds);
     std::uint64_t requests = 1;  // the warm-up exchange above
     while (std::chrono::steady_clock::now() < deadline) {
-        if (!send_all(fd, block)) break;
+        if (!serve::send_all(fd, block)) break;
         if (!recv_exact(fd, response_size * static_cast<std::size_t>(batch))) break;
         requests += static_cast<std::uint64_t>(batch);
     }

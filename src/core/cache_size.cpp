@@ -104,7 +104,8 @@ Bytes probabilistic_cache_size(const McalibratorCurve& curve, std::size_t window
     SERVET_CHECK(window_first < window_last && window_last < curve.points());
     const Bytes page = options.page_size;
     SERVET_CHECK(page > 0);
-    SERVET_CHECK_MSG(miss_time > hit_time, "window does not span a cycle rise");
+    if (!(miss_time > hit_time))
+        throw DetectError("detect.no_rise", "window does not span a cycle rise");
 
     // Miss rate and page count per window sample (the MR/NP arrays of Fig. 3).
     struct Sample {
@@ -118,7 +119,9 @@ Bytes probabilistic_cache_size(const McalibratorCurve& curve, std::size_t window
         const auto pages = static_cast<std::int64_t>(curve.sizes[i] / page);
         if (pages >= 1) samples.push_back({mr, pages});
     }
-    SERVET_CHECK_MSG(samples.size() >= 2, "window too narrow for the probabilistic estimator");
+    if (samples.size() < 2)
+        throw DetectError("detect.window_narrow",
+                          "window too narrow for the probabilistic estimator");
 
     // The true size lies within the transition: miss rates only leave 0
     // once pages can overflow a page set, and only saturate once they far
@@ -144,7 +147,8 @@ Bytes probabilistic_cache_size(const McalibratorCurve& curve, std::size_t window
             entries.push_back({divergence, cs});
         }
     }
-    SERVET_CHECK_MSG(!entries.empty(), "no size candidate fits the window");
+    if (entries.empty())
+        throw DetectError("detect.no_candidate", "no size candidate fits the window");
 
     // Mode of the `mode_votes` lowest-divergence candidates; stable sort +
     // earliest-tie mode prefer the best fit.

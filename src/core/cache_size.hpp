@@ -27,12 +27,27 @@
 //    "[3MB,14MB]" for Dunnington) automatically.
 #pragma once
 
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/mcalibrator.hpp"
 
 namespace servet::core {
+
+/// A measured curve the probabilistic estimator cannot read: the data,
+/// not the caller, is at fault, so the suite records it as a failed phase
+/// instead of aborting. `code` is stable: `detect.no_rise` (the window's
+/// miss level is not above its hit level), `detect.window_narrow` (fewer
+/// than two window samples span a page) or `detect.no_candidate` (no
+/// candidate size and associativity fits the window). what() reads
+/// "<code>: <detail>".
+struct DetectError : std::runtime_error {
+    DetectError(std::string error_code, const std::string& detail)
+        : std::runtime_error(error_code + ": " + detail), code(std::move(error_code)) {}
+    std::string code;
+};
 
 /// Expected miss rate of a page set under X ~ B(NP, K*PS/CS).
 enum class MissRateModel {
@@ -87,7 +102,8 @@ struct CacheLevelEstimate {
 /// The Fig. 3 estimator over one transition window of the curve.
 /// Samples [window_first, window_last] span the rise; `hit_time` and
 /// `miss_time` anchor the 0%- and 100%-miss cycle levels (pass the
-/// plateau values flanking the window).
+/// plateau values flanking the window). Throws DetectError when the
+/// curve's values defeat the estimator.
 [[nodiscard]] Bytes probabilistic_cache_size(const McalibratorCurve& curve,
                                              std::size_t window_first,
                                              std::size_t window_last, double hit_time,

@@ -262,6 +262,9 @@ bool HttpResponseParser::fail(std::string reason) {
 }
 
 HttpResponseParser::State HttpResponseParser::feed(std::string_view bytes) {
+    // A complete response takes no more bytes, whichever read they come in.
+    if (state() == State::Complete && !bytes.empty())
+        fail("bytes past the declared response body");
     if (state() != State::NeedMore) return state();
     buffer_.append(bytes.data(), bytes.size());
 

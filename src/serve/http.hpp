@@ -120,6 +120,8 @@ class HttpResponseParser {
     explicit HttpResponseParser(HttpParser::Limits limits);
 
     /// Appends bytes and parses as far as possible. Returns state().
+    /// Bytes fed once the response is complete are an Error, so the
+    /// verdict does not depend on how reads split the input.
     State feed(std::string_view bytes);
     /// Signals connection close. Completes a length-less body; anything
     /// else still incomplete becomes an Error (truncated response).

@@ -42,6 +42,34 @@ bool SetAssocCache::contains(std::uint64_t addr) const {
     return false;
 }
 
+void SetAssocCache::settle(const CacheCounts& counts, std::uint64_t clock) {
+    counts_.hits += counts.hits;
+    counts_.misses += counts.misses;
+    counts_.evictions += counts.evictions;
+    counts_.prefetch_fills += counts.prefetch_fills;
+    counts_.prefetch_useful += counts.prefetch_useful;
+    clock_ = clock;
+}
+
+void SetAssocCache::digest(Fingerprint& fp) const {
+    std::vector<std::uint64_t> ways;  // way indices of one set, LRU first
+    for (std::uint64_t set = 0; set < sets_; ++set) {
+        const std::uint64_t base = set * static_cast<std::uint64_t>(assoc_);
+        ways.clear();
+        for (int w = 0; w < assoc_; ++w) {
+            const std::uint64_t i = base + static_cast<std::uint64_t>(w);
+            if (tags_[i] != kInvalidTag) ways.push_back(i);
+        }
+        std::sort(ways.begin(), ways.end(),
+                  [&](std::uint64_t a, std::uint64_t b) { return stamps_[a] < stamps_[b]; });
+        fp.add(static_cast<std::uint64_t>(ways.size()));
+        for (const std::uint64_t i : ways) {
+            fp.add(tags_[i]);
+            fp.add(prefetched_[i] != 0);
+        }
+    }
+}
+
 void SetAssocCache::invalidate_all() {
     std::fill(tags_.begin(), tags_.end(), kInvalidTag);
     std::fill(stamps_.begin(), stamps_.end(), 0);

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "base/check.hpp"
+#include "base/hash.hpp"
 #include "base/types.hpp"
 
 namespace servet::sim {
@@ -56,6 +57,15 @@ struct CacheGeometry {
     [[nodiscard]] bool valid() const;
 };
 
+/// Event counts of one cache since its last reset_counters().
+struct CacheCounts {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;        ///< valid lines displaced by any fill
+    std::uint64_t prefetch_fills = 0;   ///< lines installed by prefetch_fill
+    std::uint64_t prefetch_useful = 0;  ///< first demand hits on such lines
+};
+
 /// LRU set-associative cache over line addresses.
 class SetAssocCache {
   public:
@@ -73,16 +83,16 @@ class SetAssocCache {
         if (hit_w >= 0) {
             const std::uint64_t i = base + static_cast<std::uint64_t>(hit_w);
             stamps_[i] = clock_;
-            ++hits_;
+            ++counts_.hits;
             if (prefetched_[i] != 0) {
-                ++prefetch_useful_;
+                ++counts_.prefetch_useful;
                 prefetched_[i] = 0;
             }
             return true;
         }
-        ++misses_;
+        ++counts_.misses;
         const std::uint64_t v = victim_in(base);
-        if (tags_[v] != kInvalidTag) ++evictions_;
+        if (tags_[v] != kInvalidTag) ++counts_.evictions;
         tags_[v] = tag;
         stamps_[v] = clock_;
         prefetched_[v] = 0;
@@ -102,31 +112,58 @@ class SetAssocCache {
             return;
         }
         const std::uint64_t v = victim_in(base);
-        if (tags_[v] != kInvalidTag) ++evictions_;
+        if (tags_[v] != kInvalidTag) ++counts_.evictions;
         tags_[v] = tag;
         stamps_[v] = clock_;
         prefetched_[v] = 1;
-        ++prefetch_fills_;
+        ++counts_.prefetch_fills;
     }
+
+    /// Set index of the line holding `addr`.
+    [[nodiscard]] std::uint64_t set_of(std::uint64_t addr) const {
+        return set_index(addr >> line_shift_);
+    }
+
+    /// Writes way `way` of `addr`'s set directly: the line becomes resident
+    /// with LRU stamp `stamp` and the given prefetch bit, with no lookup and
+    /// no counting. The closed-form init sweep (sim/engine.cpp) builds an
+    /// empty cache's end state this way, then calls settle().
+    void place(std::uint64_t addr, int way, std::uint64_t stamp, bool prefetched) {
+        const std::uint64_t line = addr >> line_shift_;
+        const std::uint64_t i = set_index(line) * static_cast<std::uint64_t>(assoc_) +
+                                static_cast<std::uint64_t>(way);
+        tags_[i] = tag_of(line);
+        stamps_[i] = stamp;
+        prefetched_[i] = prefetched ? 1 : 0;
+    }
+    /// Adds the counts of events applied in closed form and sets the LRU
+    /// clock to the number of lookups and fills those events made.
+    void settle(const CacheCounts& counts, std::uint64_t clock);
 
     /// True iff the line is currently resident (no LRU update, no fill).
     [[nodiscard]] bool contains(std::uint64_t addr) const;
 
     void invalidate_all();
 
+    /// Feeds the resident lines to `fp` with the LRU clock normalised away:
+    /// per set, the tags and prefetch bits in LRU rank order. Two caches
+    /// that would behave identically from here on digest the same, whatever
+    /// their absolute stamps or way layout.
+    void digest(Fingerprint& fp) const;
+
     [[nodiscard]] const CacheGeometry& geometry() const { return geometry_; }
-    [[nodiscard]] std::uint64_t hit_count() const { return hits_; }
-    [[nodiscard]] std::uint64_t miss_count() const { return misses_; }
+    [[nodiscard]] std::uint64_t hit_count() const { return counts_.hits; }
+    [[nodiscard]] std::uint64_t miss_count() const { return counts_.misses; }
     /// Valid lines displaced by demand or prefetch fills.
-    [[nodiscard]] std::uint64_t eviction_count() const { return evictions_; }
+    [[nodiscard]] std::uint64_t eviction_count() const { return counts_.evictions; }
     /// Lines installed by prefetch_fill (cold installs, not LRU touches).
-    [[nodiscard]] std::uint64_t prefetch_fill_count() const { return prefetch_fills_; }
+    [[nodiscard]] std::uint64_t prefetch_fill_count() const { return counts_.prefetch_fills; }
     /// Demand hits on lines a prefetch installed that no demand access had
     /// touched yet — the prefetcher's useful work.
-    [[nodiscard]] std::uint64_t prefetch_useful_count() const { return prefetch_useful_; }
-    void reset_counters() {
-        hits_ = misses_ = evictions_ = prefetch_fills_ = prefetch_useful_ = 0;
+    [[nodiscard]] std::uint64_t prefetch_useful_count() const {
+        return counts_.prefetch_useful;
     }
+    void reset_counters() { counts_ = {}; }
 
   private:
     static constexpr std::uint64_t kInvalidTag = ~0ULL;
@@ -197,11 +234,7 @@ class SetAssocCache {
     std::vector<std::uint64_t> stamps_;
     std::vector<std::uint8_t> prefetched_;
     std::uint64_t clock_ = 0;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
-    std::uint64_t evictions_ = 0;
-    std::uint64_t prefetch_fills_ = 0;
-    std::uint64_t prefetch_useful_ = 0;
+    CacheCounts counts_;
 };
 
 }  // namespace servet::sim

@@ -29,6 +29,157 @@ std::uint64_t emitting_accesses(const StreamRunPlan& plan, std::uint64_t count) 
     if (count > from) n += count - from;
     return n;
 }
+
+/// Where an event of the init sweep falls in one core's schedule: the
+/// demand access of step `step` is sub 0, its d-th prefetch fill is sub d.
+/// Every core runs the same schedule and batched_pass interleaves the cores
+/// step by step, so (step, core position, sub) orders all events.
+struct SweepKey {
+    std::uint64_t step = 0;
+    std::uint64_t sub = 0;
+    friend auto operator<=>(const SweepKey&, const SweepKey&) = default;
+};
+
+/// One core's init sweep in units of L1 lines: the demand access of step s
+/// touches line s, for s in [0, n), and each step s >= emit then fills
+/// lines s+1 .. s+degree. Lines [0, end()) are touched.
+struct InitSchedule {
+    std::uint64_t n = 0;
+    std::uint64_t emit = 0;
+    std::uint64_t degree = 0;
+
+    [[nodiscard]] std::uint64_t end() const { return n + degree; }
+    [[nodiscard]] bool emits(std::uint64_t s) const { return s >= emit && s < n; }
+    /// First and last fill touching line j, for j > emit.
+    [[nodiscard]] SweepKey first_fill(std::uint64_t j) const {
+        const std::uint64_t s = j > emit + degree ? j - degree : emit;
+        return {s, j - s};
+    }
+    [[nodiscard]] SweepKey last_fill(std::uint64_t j) const {
+        const std::uint64_t s = std::min(j - 1, n - 1);
+        return {s, j - s};
+    }
+    /// Fills issued by the steps before `s`.
+    [[nodiscard]] std::uint64_t fills_before(std::uint64_t s) const {
+        const std::uint64_t steps = std::min(s, n);
+        return steps > emit ? (steps - emit) * degree : 0;
+    }
+};
+
+/// One cache level's part of one core's init sweep, where a level line
+/// holds `ratio` L1 lines. Only the demands of steps [0, emit] miss the L1
+/// (every later line was prefetched into it), so each level's lines split
+/// into a short head, settled line by line, and a tail of lines that only
+/// prefetch fills install.
+struct InitLevel {
+    struct Line {
+        std::uint64_t index = 0;
+        SweepKey last;            ///< the line's last event
+        bool prefetched = false;  ///< installed by a fill, no demand since
+    };
+    std::uint64_t ratio = 1;
+    Bytes line_bytes = 0;
+    bool every_demand = false;           ///< the L1: every demand looks up here
+    std::vector<std::uint64_t> demands;  ///< below it, the steps whose demand does
+    std::vector<Line> head;              ///< touched lines below tail_begin, latest first
+    std::uint64_t tail_begin = 0;        ///< the tail is lines [tail_begin, tail_end)
+    std::uint64_t tail_end = 0;
+    std::uint64_t lines = 0;  ///< distinct lines touched
+    CacheCounts counts;       ///< evictions left out: they depend on the sharing
+
+    [[nodiscard]] std::uint64_t demands_through(const InitSchedule& sweep,
+                                                std::uint64_t s) const {
+        if (every_demand) return std::min(s + 1, sweep.n);
+        return static_cast<std::uint64_t>(
+            std::upper_bound(demands.begin(), demands.end(), s) - demands.begin());
+    }
+    /// Lookups and fills of one core at this level in the steps before `s`.
+    [[nodiscard]] std::uint64_t events_before(const InitSchedule& sweep,
+                                              std::uint64_t s) const {
+        return (s == 0 ? 0 : demands_through(sweep, s - 1)) + sweep.fills_before(s);
+    }
+    /// ... and up to and including the event at `key`.
+    [[nodiscard]] std::uint64_t events_through(const InitSchedule& sweep, SweepKey key) const {
+        return demands_through(sweep, key.step) + sweep.fills_before(key.step) +
+               (sweep.emits(key.step) ? std::min(key.sub, sweep.degree) : 0);
+    }
+    /// A tail line of the L1 below n ends with its demand hit; any other
+    /// tail line ends with the last fill into it.
+    [[nodiscard]] Line tail_line(const InitSchedule& sweep, std::uint64_t x) const {
+        if (every_demand && x < sweep.n) return {x, {x, 0}, false};
+        return {x, sweep.last_fill(std::min(ratio * x + ratio - 1, sweep.end() - 1)), true};
+    }
+};
+
+/// The init sweep as each level of a lookup path meets it, L1 first, for
+/// levels with lines of `line_bytes`. `memory_demands` receives the steps
+/// whose demand misses every level.
+std::vector<InitLevel> plan_init_levels(const InitSchedule& sweep,
+                                        const std::vector<Bytes>& line_bytes,
+                                        std::vector<std::uint64_t>& memory_demands) {
+    std::vector<InitLevel> levels(line_bytes.size());
+    std::vector<std::uint64_t> reaching;  // steps whose demand missed every level above
+    for (std::size_t l = 0; l < levels.size(); ++l) {
+        InitLevel& level = levels[l];
+        const std::uint64_t r = line_bytes[l] / line_bytes.front();
+        level.ratio = r;
+        level.line_bytes = line_bytes[l];
+        level.every_demand = l == 0;
+        level.demands = std::move(reaching);
+        reaching = {};
+        level.tail_begin = sweep.emit / r + 1;
+        level.tail_end = (sweep.end() - 1) / r + 1;
+        for (std::uint64_t x = 0; x < level.tail_begin; ++x) {
+            const std::uint64_t first = r * x;
+            const std::uint64_t last = std::min(first + r - 1, sweep.end() - 1);
+            std::uint64_t demanded = 0, first_demand = 0, last_demand = 0;
+            if (level.every_demand) {
+                demanded = 1;
+                first_demand = last_demand = x;
+            } else {
+                const auto lo =
+                    std::lower_bound(level.demands.begin(), level.demands.end(), first);
+                const auto hi = std::upper_bound(lo, level.demands.end(), last);
+                demanded = static_cast<std::uint64_t>(hi - lo);
+                if (demanded > 0) {
+                    first_demand = *lo;
+                    last_demand = *(hi - 1);
+                }
+            }
+            const bool filled = last > sweep.emit;
+            if (demanded == 0 && !filled) continue;  // never touched at this level
+            const bool fill_first =
+                filled && (demanded == 0 || sweep.first_fill(std::max(first, sweep.emit + 1)) <
+                                                SweepKey{first_demand, 0});
+            SweepKey last_event = filled ? sweep.last_fill(last) : SweepKey{};
+            if (demanded > 0) last_event = std::max(last_event, SweepKey{last_demand, 0});
+            ++level.lines;
+            if (fill_first) {
+                ++level.counts.prefetch_fills;
+                level.counts.hits += demanded;
+                if (demanded > 0) ++level.counts.prefetch_useful;
+            } else {
+                ++level.counts.misses;
+                level.counts.hits += demanded - 1;
+                reaching.push_back(first_demand);
+            }
+            level.head.push_back({x, last_event, fill_first && demanded == 0});
+        }
+        std::sort(level.head.begin(), level.head.end(),
+                  [](const InitLevel::Line& a, const InitLevel::Line& b) {
+                      return a.last > b.last;
+                  });
+        const std::uint64_t tail = level.tail_end - level.tail_begin;
+        level.lines += tail;
+        level.counts.prefetch_fills += tail;
+        if (level.every_demand) {  // tail lines below n are demanded once, after their fill
+            level.counts.hits += sweep.n - level.tail_begin;
+            level.counts.prefetch_useful += sweep.n - level.tail_begin;
+        }
+    }
+    memory_demands = std::move(reaching);
+    return levels;
+}
 }  // namespace
 
 /// Per-core state of one batched traversal: the address cursor, the core's
@@ -324,6 +475,229 @@ inline Cycles MachineSim::batched_access(CoreRun& run, std::uint64_t vaddr,
     return cost + tlb_penalty;
 }
 
+bool MachineSim::closed_form_init(std::vector<CoreRun>& runs, const AccessRun& init) {
+    const CoreRun& lead = runs.front();  // every core's plan and path shape are the same
+    const StreamRunPlan& plan = lead.plan;
+    const std::uint64_t line = static_cast<std::uint64_t>(init.stride);
+    const Bytes page = page_mask_ + 1;
+    const InitSchedule sweep{init.count, plan.emit_from,
+                             static_cast<std::uint64_t>(lead.degree)};
+    // The closed form covers a sweep whose prefetch fills stream at the line
+    // stride from step `emit` on, opening at most one new page per step.
+    if (sweep.degree == 0 || plan.first_emits || sweep.emit >= sweep.n ||
+        plan.emit_stride != init.stride || sweep.degree >= page / line)
+        return false;
+    std::vector<Bytes> line_bytes(lead.path_len);
+    for (std::size_t l = 0; l < lead.path_len; ++l) {
+        line_bytes[l] = lead.path[l].cache->geometry().line_size;
+        if (line_bytes[l] < line || line_bytes[l] > page) return false;
+    }
+    std::vector<std::uint64_t> memory_demands;
+    const std::vector<InitLevel> levels = plan_init_levels(sweep, line_bytes, memory_demands);
+
+    struct Instance {
+        SetAssocCache* cache;
+        const InitLevel* level;
+        bool physical;
+        std::vector<std::size_t> members;  ///< positions in `runs` it serves
+    };
+    std::vector<Instance> instances;
+    for (std::size_t l = 0; l < lead.path_len; ++l) {
+        const std::size_t level_begin = instances.size();
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            SetAssocCache* cache = runs[i].path[l].cache;
+            auto it = std::find_if(instances.begin() + static_cast<std::ptrdiff_t>(level_begin),
+                                   instances.end(),
+                                   [&](const Instance& inst) { return inst.cache == cache; });
+            if (it == instances.end()) {
+                instances.push_back(
+                    {cache, &levels[l], runs[i].path[l].physically_indexed, {}});
+                it = instances.end() - 1;
+            }
+            it->members.push_back(i);
+        }
+    }
+    // Precondition: no line is evicted between its first and last event.
+    // Then every line misses once, on its first event, and each set ends
+    // holding the lines with the latest last events. A line's events span
+    // at most degree + ratio steps, in which one core touches at most
+    // 2 * degree + ratio consecutive L1 lines; if the lines of one set
+    // among those, over the cores sharing the instance, fit its ways, the
+    // LRU way is always a line whose events are over.
+    const auto ceil_div = [](std::uint64_t a, std::uint64_t b) { return (a + b - 1) / b; };
+    for (const Instance& inst : instances) {
+        const CacheGeometry& geometry = inst.cache->geometry();
+        const std::uint64_t r = inst.level->ratio;
+        const std::uint64_t window = (2 * sweep.degree + r + r - 2) / r + 1;  // level lines
+        const std::uint64_t sets = geometry.set_count();
+        const std::uint64_t per_page = page / geometry.line_size;
+        const std::uint64_t per_set =
+            inst.physical ? ((window + per_page - 2) / per_page + 1) *
+                                ceil_div(std::min(window, per_page), sets)
+                          : ceil_div(window, sets);
+        if (inst.members.size() * per_set > static_cast<std::uint64_t>(geometry.associativity))
+            return false;
+    }
+
+    // Page frames, mapped in the order the sweep first touches the pages:
+    // page by page, and within a step cores in run order.
+    const std::uint64_t last_demand = (sweep.n - 1) * line;
+    const std::uint64_t last_fill = (sweep.end() - 1) * line;
+    const std::uint64_t pages = (last_fill >> page_shift_) + 1;
+    std::vector<std::vector<std::uint64_t>> frames(runs.size(),
+                                                   std::vector<std::uint64_t>(pages));
+    for (std::uint64_t k = 0; k < pages; ++k)
+        for (std::size_t i = 0; i < runs.size(); ++i)
+            frames[i][k] = mapper_->frame_of((runs[i].base >> page_shift_) + k);
+
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        CoreRun& run = runs[i];
+        run.cursor = run.base + sweep.n * line;
+        run.demand_page = (run.base + last_demand) >> page_shift_;
+        run.demand_frame_base = frames[i][last_demand >> page_shift_] << page_shift_;
+        run.fill_page = (run.base + last_fill) >> page_shift_;
+        run.fill_frame_base = frames[i][last_fill >> page_shift_] << page_shift_;
+        if (run.latency_mult > 1.0) tally_contended_ += memory_demands.size();
+        if (run.tlb == nullptr) continue;
+        // The TLB sees each demand page once, in order: all misses.
+        const std::uint64_t demand_pages = (last_demand >> page_shift_) + 1;
+        const std::uint64_t entries =
+            static_cast<std::uint64_t>(run.tlb->geometry().associativity);
+        const std::uint64_t kept = std::min(demand_pages, entries);
+        for (std::uint64_t w = 0; w < kept; ++w) {
+            const std::uint64_t k = demand_pages - 1 - w;
+            run.tlb->place(run.base + (k << page_shift_), static_cast<int>(w), k + 1, false);
+        }
+        run.tlb->settle({.misses = demand_pages, .evictions = demand_pages - kept},
+                        demand_pages);
+    }
+
+    // Each instance ends holding, per set, the lines with the latest last
+    // events: walk its lines latest first (the tail from its end, then the
+    // head; the cores of one step last to first) and fill sets until full.
+    for (const Instance& inst : instances) {
+        const InitLevel& level = *inst.level;
+        SetAssocCache& cache = *inst.cache;
+        const std::uint64_t ways = static_cast<std::uint64_t>(cache.geometry().associativity);
+        const std::uint64_t sets = cache.geometry().set_count();
+        const std::uint64_t per_page = page / level.line_bytes;
+        // When sets are a whole number of pages, a page's lines fill sets of
+        // one color, and a page of a color whose sets are full is skipped.
+        const bool colored = sets % per_page == 0;
+        std::vector<std::uint64_t> occupancy(sets, 0);
+        std::vector<std::uint64_t> full_in_color(colored ? sets / per_page : 0, 0);
+        std::uint64_t full_sets = 0, placed = 0;
+        const std::size_t members = inst.members.size();
+        const auto frame = [&](std::size_t member, std::uint64_t page_index) {
+            const std::size_t i = inst.members[member];
+            return inst.physical ? frames[i][page_index]
+                                 : (runs[i].base >> page_shift_) + page_index;
+        };
+        const auto address = [&](std::size_t member, std::uint64_t x) {
+            const std::uint64_t offset = x * level.line_bytes;
+            return (frame(member, offset >> page_shift_) << page_shift_) |
+                   (offset & page_mask_);
+        };
+        // Clock at a member's event: earlier members' events through its
+        // step, later members' before it, its own up to it.
+        const auto stamp_of = [&](std::size_t member, SweepKey key) {
+            return member * level.events_before(sweep, key.step + 1) +
+                   (members - 1 - member) * level.events_before(sweep, key.step) +
+                   level.events_through(sweep, key);
+        };
+        const auto place = [&](std::uint64_t addr, std::uint64_t stamp, bool prefetched) {
+            const std::uint64_t set = cache.set_of(addr);
+            if (occupancy[set] == ways) return;
+            cache.place(addr, static_cast<int>(occupancy[set]), stamp, prefetched);
+            ++placed;
+            if (++occupancy[set] == ways) {
+                ++full_sets;
+                if (colored) ++full_in_color[set / per_page];
+            }
+        };
+        // Lines latest first; the members of one step last to first.
+        const auto place_in_order = [&](const std::vector<InitLevel::Line>& lines) {
+            for (std::size_t i = 0; i < lines.size() && full_sets < sets;) {
+                std::size_t group_end = i + 1;
+                while (group_end < lines.size() &&
+                       lines[group_end].last.step == lines[i].last.step)
+                    ++group_end;
+                for (std::size_t member = members; member-- > 0;)
+                    for (std::size_t g = i; g < group_end; ++g)
+                        place(address(member, lines[g].index), stamp_of(member, lines[g].last),
+                              lines[g].prefetched);
+                i = group_end;
+            }
+        };
+        // Tail lines [from, to), latest first.
+        const auto tail_lines = [&](std::uint64_t from, std::uint64_t to) {
+            std::vector<InitLevel::Line> lines;
+            for (std::uint64_t x = to; x-- > from;) lines.push_back(level.tail_line(sweep, x));
+            return lines;
+        };
+
+        // The body: tail lines with one line per step, above every head
+        // event and below the sweep's last step. Its stamps fall linearly
+        // with the line, its prefetch bits are all alike, and it holds all
+        // but a handful of the lines, so it gets its own loop.
+        std::uint64_t body_end = level.tail_end;
+        while (body_end > level.tail_begin &&
+               level.tail_line(sweep, body_end - 1).last.step + 1 >= sweep.n)
+            --body_end;
+        std::uint64_t body_begin = level.tail_begin;
+        while (body_begin < body_end &&
+               level.tail_line(sweep, body_begin).last.step <= sweep.emit + 1)
+            ++body_begin;
+
+        place_in_order(tail_lines(body_end, level.tail_end));
+        if (body_begin < body_end) {
+            const InitLevel::Line top = level.tail_line(sweep, body_end - 1);
+            std::uint64_t slope = 0;  // stamp drop from one body line to the next
+            if (body_end - 1 > body_begin)
+                slope = stamp_of(0, top.last) -
+                        stamp_of(0, level.tail_line(sweep, body_end - 2).last);
+            std::vector<std::uint64_t> top_stamp(members), page_base(members);
+            for (std::size_t member = 0; member < members; ++member)
+                top_stamp[member] = stamp_of(member, top.last);
+            std::uint64_t page_index = kNoPage;
+            for (std::uint64_t x = body_end; x-- > body_begin && full_sets < sets;) {
+                const std::uint64_t offset = x * level.line_bytes;
+                if (offset >> page_shift_ != page_index) {
+                    page_index = offset >> page_shift_;
+                    bool all_full = colored;
+                    for (std::size_t member = 0; member < members; ++member) {
+                        page_base[member] = frame(member, page_index) << page_shift_;
+                        all_full = all_full &&
+                                   full_in_color[(page_base[member] / level.line_bytes % sets) /
+                                                 per_page] == per_page;
+                    }
+                    if (all_full) {  // no member can place a line of this page
+                        x = std::max(page_index * per_page, body_begin);
+                        continue;
+                    }
+                }
+                const std::uint64_t drop = (body_end - 1 - x) * slope;
+                for (std::size_t member = members; member-- > 0;)
+                    place(page_base[member] | (offset & page_mask_), top_stamp[member] - drop,
+                          top.prefetched);
+            }
+        }
+        if (full_sets < sets) {
+            std::vector<InitLevel::Line> rest = tail_lines(level.tail_begin, body_begin);
+            rest.insert(rest.end(), level.head.begin(), level.head.end());
+            place_in_order(rest);
+        }
+        CacheCounts counts;
+        counts.hits = members * level.counts.hits;
+        counts.misses = members * level.counts.misses;
+        counts.evictions = members * level.lines - placed;
+        counts.prefetch_fills = members * level.counts.prefetch_fills;
+        counts.prefetch_useful = members * level.counts.prefetch_useful;
+        cache.settle(counts, members * level.events_before(sweep, sweep.n));
+    }
+    return true;
+}
+
 template <bool kMeasure>
 void MachineSim::batched_pass(std::vector<CoreRun>& runs, std::int64_t stride,
                               std::uint64_t count) {
@@ -395,7 +769,8 @@ TraversalResult MachineSim::run_traversal(const std::vector<CoreId>& cores, Byte
             }
         };
         begin_run(runs, stream.init);
-        batched_pass<false>(runs, stream.init.stride, stream.init.count);
+        if (!closed_form_init(runs, stream.init))
+            batched_pass<false>(runs, stream.init.stride, stream.init.count);
         for (int pass = -1; pass < measure_passes; ++pass) {  // pass -1 = warm-up
             begin_run(runs, stream.measure);
             if (pass >= 0)
@@ -442,6 +817,18 @@ Cycles MachineSim::traverse_one(CoreId core, Bytes array_bytes, Bytes stride,
                                 int measure_passes, bool fresh_placement) {
     return traverse({core}, array_bytes, stride, measure_passes, fresh_placement)
         .cycles_per_access.front();
+}
+
+std::uint64_t MachineSim::state_digest() const {
+    Fingerprint fp;
+    fp.add(built_);
+    if (!built_) return fp.value();
+    for (const auto& level : caches_)
+        for (const SetAssocCache& cache : level) cache.digest(fp);
+    for (const SetAssocCache& tlb : tlbs_) tlb.digest(fp);
+    for (const StreamPrefetcher& prefetcher : prefetchers_) prefetcher.digest(fp);
+    mapper_->digest(fp);
+    return fp.value();
 }
 
 BytesPerSecond MachineSim::copy_bandwidth(CoreId core, const std::vector<CoreId>& active,

@@ -109,6 +109,13 @@ class MachineSim {
     /// Total simulated demand accesses since construction (for perf tests).
     [[nodiscard]] std::uint64_t total_accesses() const { return total_accesses_; }
 
+    /// Hash of the simulated microarchitectural state, normalised so that
+    /// both engines agree on it after every traversal: each cache's
+    /// resident tags and prefetch bits per set in LRU rank order (not raw
+    /// stamps), each TLB's resident pages in the same form, every
+    /// prefetcher's stride state, and the page mapper's frames.
+    [[nodiscard]] std::uint64_t state_digest() const;
+
   private:
     /// One step of a core's resolved lookup path: the physical cache
     /// instance serving the core at one level, with the level's cost and
@@ -150,6 +157,13 @@ class MachineSim {
     /// caches. kMeasure selects cycle accumulation at compile time.
     template <bool kMeasure>
     void batched_pass(std::vector<CoreRun>& runs, std::int64_t stride, std::uint64_t count);
+
+    /// The init sweep of `runs` (planned with begin-of-run prefetcher plans
+    /// in place) applied in closed form: writes the end state and counts
+    /// that batched_pass over `init` would leave, and returns true. Returns
+    /// false, changing nothing, when the sweep is outside the closed form's
+    /// precondition (docs/simulator.md); the caller then runs the pass.
+    bool closed_form_init(std::vector<CoreRun>& runs, const AccessRun& init);
 
     /// One batched demand access (defined in engine.cpp, inlined into the
     /// pass loops). `index` is the access's position within its run; the

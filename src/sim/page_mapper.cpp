@@ -1,6 +1,9 @@
 #include "sim/page_mapper.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <utility>
+#include <vector>
 
 #include "base/check.hpp"
 
@@ -55,6 +58,16 @@ std::uint64_t PageMapper::translate(std::uint64_t vaddr) {
     const std::uint64_t vpage = vaddr >> page_shift_;
     const std::uint64_t offset = vaddr & (page_size_ - 1);
     return (frame_of(vpage) << page_shift_) | offset;
+}
+
+void PageMapper::digest(Fingerprint& fp) const {
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> pages(map_.begin(), map_.end());
+    std::sort(pages.begin(), pages.end());
+    fp.add(static_cast<std::uint64_t>(pages.size()));
+    for (const auto& [vpage, frame] : pages) {
+        fp.add(vpage);
+        fp.add(frame);
+    }
 }
 
 void PageMapper::reset() {

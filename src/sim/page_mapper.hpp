@@ -12,6 +12,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "base/hash.hpp"
 #include "base/rng.hpp"
 #include "base/types.hpp"
 
@@ -42,6 +43,9 @@ class PageMapper {
 
     /// Forget all mappings (a fresh process image).
     void reset();
+
+    /// Feeds every (virtual page, frame) mapping to `fp`, in page order.
+    void digest(Fingerprint& fp) const;
 
     [[nodiscard]] Bytes page_size() const { return page_size_; }
     [[nodiscard]] std::uint64_t page_shift() const { return page_shift_; }

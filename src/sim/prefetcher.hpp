@@ -17,6 +17,7 @@
 
 #include <cstdint>
 
+#include "base/hash.hpp"
 #include "base/types.hpp"
 
 namespace servet::sim {
@@ -60,6 +61,14 @@ class StreamPrefetcher {
                                          std::uint64_t count);
 
     void reset();
+
+    /// Feeds the stride-tracking state to `fp`.
+    void digest(Fingerprint& fp) const {
+        fp.add(has_last_);
+        fp.add(last_addr_);
+        fp.add(static_cast<std::int64_t>(last_stride_));
+        fp.add(streak_);
+    }
 
     [[nodiscard]] const PrefetcherSpec& spec() const { return spec_; }
     [[nodiscard]] bool streaming() const { return streak_ >= spec_.trigger_streak; }

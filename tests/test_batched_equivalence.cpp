@@ -31,23 +31,44 @@ struct TraverseCall {
     bool fresh_placement;
 };
 
+/// Two distinct cores served by one instance of the lowest level that
+/// shares one, or an empty list when every instance is private.
+std::vector<CoreId> sharing_pair(const MachineSpec& spec) {
+    for (const CacheLevelSpec& level : spec.levels)
+        for (const std::vector<CoreId>& instance : level.instances)
+            if (instance.size() >= 2) return {instance[0], instance[1]};
+    return {};
+}
+
 /// A call schedule touching every regime of `spec`: L1-resident,
 /// mid-hierarchy, past the last level (memory + contention), line-stride
 /// (prefetcher streaming), probe-stride, single- and multi-core, fresh
 /// and static placement, back-to-back calls sharing one instance (so
-/// run_counter_ advancement is exercised too).
+/// run_counter_ advancement is exercised too). The init sweep's edges get
+/// their own calls: prefetch fills running past the array into a page of
+/// their own, an array inside one L1 way, a size that is no whole number
+/// of pages, and a concurrent pair sharing a cache instance.
 std::vector<TraverseCall> call_schedule(const MachineSpec& spec) {
     const Bytes l1 = spec.levels.front().geometry.size;
+    const Bytes l1_way = l1 / static_cast<Bytes>(spec.levels.front().geometry.associativity);
     const Bytes llc = spec.levels.back().geometry.size;
+    const Bytes page = spec.page_size;
     std::vector<TraverseCall> calls;
     calls.push_back({{0}, l1 / 2, 1 * KiB, 2, true});
     calls.push_back({{0}, 2 * l1, 256, 2, true});       // prefetcher in reach
     calls.push_back({{0}, llc + llc / 4, 1 * KiB, 2, true});  // past the LLC
     calls.push_back({{0}, llc / 2, 64, 1, false});      // line stride, static
     calls.push_back({{0}, 2 * l1, 1 * KiB, 3, false});
+    calls.push_back({{0}, 2 * page, 1 * KiB, 1, true});  // fills fault in a third page
+    calls.push_back({{0}, l1_way / 2, 256, 2, true});    // inside one L1 way
+    calls.push_back({{0}, 5 * page + page / 3, 1 * KiB, 2, true});  // no whole page
     if (spec.n_cores >= 2) {
         calls.push_back({{0, spec.n_cores - 1}, llc / 2, 1 * KiB, 2, false});
         calls.push_back({{0, 1}, llc + llc / 4, 1 * KiB, 1, true});  // contended misses
+    }
+    if (const std::vector<CoreId> pair = sharing_pair(spec); !pair.empty()) {
+        calls.push_back({pair, llc / 2, 1 * KiB, 2, true});
+        calls.push_back({{pair[1], pair[0]}, llc + llc / 4, 1 * KiB, 1, false});
     }
     if (spec.n_cores >= 3) calls.push_back({{2, 0, 1}, 2 * l1, 256, 2, true});
     return calls;
@@ -55,22 +76,30 @@ std::vector<TraverseCall> call_schedule(const MachineSpec& spec) {
 
 /// Run the schedule through two fresh MachineSim instances — one per
 /// engine — and require identical cycles, identical demand-access counts,
-/// and identical Stable counter deltas.
+/// identical Stable counter deltas, and identical simulated state after
+/// every call.
 void expect_engines_agree(const MachineSpec& spec, const std::string& label) {
     MachineSim batched(spec);
     MachineSim reference(spec);
     const std::vector<TraverseCall> calls = call_schedule(spec);
+    EXPECT_EQ(batched.state_digest(), reference.state_digest()) << label << " before any call";
 
     const std::map<std::string, std::uint64_t> before = obs::registry().stable_counters();
     std::vector<TraversalResult> batched_results;
-    for (const TraverseCall& c : calls)
+    std::vector<std::uint64_t> batched_states;
+    for (const TraverseCall& c : calls) {
         batched_results.push_back(
             batched.traverse(c.cores, c.array_bytes, c.stride, c.passes, c.fresh_placement));
+        batched_states.push_back(batched.state_digest());
+    }
     const std::map<std::string, std::uint64_t> mid = obs::registry().stable_counters();
     std::vector<TraversalResult> reference_results;
-    for (const TraverseCall& c : calls)
+    std::vector<std::uint64_t> reference_states;
+    for (const TraverseCall& c : calls) {
         reference_results.push_back(reference.traverse_reference(
             c.cores, c.array_bytes, c.stride, c.passes, c.fresh_placement));
+        reference_states.push_back(reference.state_digest());
+    }
     const std::map<std::string, std::uint64_t> after = obs::registry().stable_counters();
 
     EXPECT_EQ(batched.total_accesses(), reference.total_accesses()) << label;
@@ -83,6 +112,8 @@ void expect_engines_agree(const MachineSpec& spec, const std::string& label) {
             EXPECT_EQ(b.cycles_per_access[core], r.cycles_per_access[core])
                 << label << " call " << i << " core slot " << core
                 << " (bit-exact equality required)";
+        EXPECT_EQ(batched_states[i], reference_states[i])
+            << label << " call " << i << ": simulated state differs";
     }
 
     // Stable counters: the batched window (before -> mid) and the

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "stats/binomial.hpp"
 
@@ -197,11 +198,45 @@ TEST(DetectLevels, PaperTailModelStillClose) {
     EXPECT_LE(levels[1].size, 3 * MiB);
 }
 
-TEST(ProbabilisticDeath, RejectsFlatWindow) {
+/// The stable code of the DetectError that `estimate` throws, or "" when
+/// it returns.
+template <typename Estimate>
+std::string detect_error_code(Estimate estimate) {
+    try {
+        (void)estimate();
+    } catch (const DetectError& e) {
+        return e.code;
+    }
+    return "";
+}
+
+TEST(ProbabilisticErrors, RejectsFlatWindow) {
     McalibratorCurve curve;
     curve.sizes = {4 * KiB, 8 * KiB, 16 * KiB};
     curve.cycles = {2.0, 2.0, 2.0};
-    EXPECT_DEATH((void)probabilistic_cache_size(curve, 0, 2, CacheDetectOptions{}), "rise");
+    EXPECT_EQ(detect_error_code(
+                  [&] { return probabilistic_cache_size(curve, 0, 2, CacheDetectOptions{}); }),
+              "detect.no_rise");
+}
+
+TEST(ProbabilisticErrors, RejectsWindowWithUnderTwoWholePages) {
+    McalibratorCurve curve;
+    curve.sizes = {1 * KiB, 2 * KiB, 4 * KiB};
+    curve.cycles = {2.0, 4.0, 8.0};
+    EXPECT_EQ(detect_error_code(
+                  [&] { return probabilistic_cache_size(curve, 0, 2, CacheDetectOptions{}); }),
+              "detect.window_narrow");
+}
+
+TEST(ProbabilisticErrors, RejectsWindowBelowEveryCandidateSize) {
+    // Every candidate size is at least 16 KiB; a window ending at 8 KiB
+    // has none to fit.
+    McalibratorCurve curve;
+    curve.sizes = {2 * KiB, 4 * KiB, 8 * KiB};
+    curve.cycles = {2.0, 4.0, 8.0};
+    EXPECT_EQ(detect_error_code(
+                  [&] { return probabilistic_cache_size(curve, 0, 2, CacheDetectOptions{}); }),
+              "detect.no_candidate");
 }
 
 }  // namespace

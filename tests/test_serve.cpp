@@ -229,6 +229,24 @@ TEST(HttpResponseParser, FramingAndRefusals) {
     }
 }
 
+TEST(HttpResponseParser, VerdictDoesNotDependOnReadBoundaries) {
+    const std::string wire = "HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\nabc";
+    HttpResponseParser whole;
+    EXPECT_EQ(whole.feed(wire), HttpResponseParser::State::Error);
+    EXPECT_EQ(whole.error_reason(), "bytes past the declared response body");
+
+    HttpResponseParser torn;
+    for (const char byte : wire) (void)torn.feed(std::string_view(&byte, 1));
+    EXPECT_EQ(torn.state(), HttpResponseParser::State::Error);
+    EXPECT_EQ(torn.error_reason(), "bytes past the declared response body");
+
+    // Only bytes count: an empty read leaves a complete response complete.
+    HttpResponseParser exact;
+    EXPECT_EQ(exact.feed(wire.substr(0, wire.size() - 1)), HttpResponseParser::State::Complete);
+    EXPECT_EQ(exact.feed(""), HttpResponseParser::State::Complete);
+    EXPECT_EQ(exact.response().body, "ab");
+}
+
 TEST(HttpResponseParser, EofDelimitedBodyIsHeldToTheBodyLimit) {
     HttpParser::Limits limits;
     limits.max_body_bytes = 32;

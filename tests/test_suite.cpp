@@ -220,6 +220,52 @@ TEST(PhaseIsolation, FailedPhaseIsRecordedWhileOthersComplete) {
     EXPECT_TRUE(result.has_comm);
 }
 
+/// A single-core machine whose mcalibrator curve is flat apart from two
+/// steps: one at 1 KiB, read as the L1 peak, and one smeared over 2-8 KiB,
+/// below every candidate size of the probabilistic estimator.
+class SteppedCurvePlatform final : public Platform {
+  public:
+    [[nodiscard]] std::string name() const override { return "stepped-curve"; }
+    [[nodiscard]] int core_count() const override { return 1; }
+    [[nodiscard]] Bytes page_size() const override { return 4 * KiB; }
+    [[nodiscard]] Cycles traverse_cycles(CoreId, Bytes array_bytes, Bytes, int, bool) override {
+        if (array_bytes < 1 * KiB) return 2.0;
+        if (array_bytes < 4 * KiB) return 6.0;
+        return array_bytes < 8 * KiB ? 12.0 : 24.0;
+    }
+    [[nodiscard]] std::vector<Cycles> traverse_cycles_concurrent(
+        const std::vector<CoreId>& cores, Bytes array_bytes, Bytes stride, int passes,
+        bool fresh_placement) override {
+        const Cycles cycles =
+            traverse_cycles(cores.front(), array_bytes, stride, passes, fresh_placement);
+        return std::vector<Cycles>(cores.size(), cycles);
+    }
+    [[nodiscard]] BytesPerSecond copy_bandwidth(CoreId, Bytes) override { return 1e9; }
+    [[nodiscard]] std::vector<BytesPerSecond> copy_bandwidth_concurrent(
+        const std::vector<CoreId>& cores, Bytes) override {
+        return std::vector<BytesPerSecond>(cores.size(), 1e9);
+    }
+};
+
+TEST(PhaseIsolation, DetectionErrorIsRecordedNotAborted) {
+    SteppedCurvePlatform platform;
+    SuiteOptions options;
+    options.mcalibrator.min_size = 512;
+    options.mcalibrator.max_size = 64 * KiB;
+    options.mcalibrator.repeats = 1;
+    const SuiteResult result = run_suite(platform, nullptr, options);
+
+    ASSERT_TRUE(result.partial());
+    ASSERT_EQ(result.errors.size(), 1u);
+    EXPECT_EQ(result.errors[0].phase, "cache_size");
+    EXPECT_EQ(result.errors[0].message.rfind("detect.no_candidate: ", 0), 0u)
+        << result.errors[0].message;
+    EXPECT_TRUE(result.cache_levels.empty());
+    const Profile profile =
+        result.to_profile(platform.name(), platform.core_count(), platform.page_size());
+    EXPECT_EQ(profile.errors.count("cache_size"), 1u);
+}
+
 TEST(PhaseIsolation, PartialProfileRoundTripsErrorsSection) {
     SimPlatform inner(small_machine());
     BrokenCopyPlatform platform(inner);
