@@ -5,6 +5,7 @@
 
 #include "base/check.hpp"
 #include "base/log.hpp"
+#include "base/text.hpp"
 #include "stats/binomial.hpp"
 #include "stats/gradient.hpp"
 #include "stats/summary.hpp"
@@ -172,6 +173,11 @@ Bytes probabilistic_cache_size(const McalibratorCurve& curve, std::size_t window
 std::vector<CacheLevelEstimate> detect_cache_levels(const McalibratorCurve& curve,
                                                     const CacheDetectOptions& options) {
     SERVET_CHECK(curve.points() >= 3);
+    for (std::size_t i = 0; i < curve.points(); ++i)
+        if (!(curve.cycles[i] > 0) || !std::isfinite(curve.cycles[i]))
+            throw DetectError("detect.bad_sample",
+                              "sample at " + std::to_string(curve.sizes[i]) + " bytes is " +
+                                  format_exact(curve.cycles[i]) + " cycles per access");
     const std::vector<double> gradient = curve.gradient();
 
     // Maximal above-threshold runs (the peaks of Fig. 4) ...

@@ -27,27 +27,13 @@
 //    "[3MB,14MB]" for Dunnington) automatically.
 #pragma once
 
-#include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/mcalibrator.hpp"
+#include "core/probe_common.hpp"
 
 namespace servet::core {
-
-/// A measured curve the probabilistic estimator cannot read: the data,
-/// not the caller, is at fault, so the suite records it as a failed phase
-/// instead of aborting. `code` is stable: `detect.no_rise` (the window's
-/// miss level is not above its hit level), `detect.window_narrow` (fewer
-/// than two window samples span a page) or `detect.no_candidate` (no
-/// candidate size and associativity fits the window). what() reads
-/// "<code>: <detail>".
-struct DetectError : std::runtime_error {
-    DetectError(std::string error_code, const std::string& detail)
-        : std::runtime_error(error_code + ": " + detail), code(std::move(error_code)) {}
-    std::string code;
-};
 
 /// Expected miss rate of a page set under X ~ B(NP, K*PS/CS).
 enum class MissRateModel {
@@ -119,7 +105,9 @@ struct CacheLevelEstimate {
 /// The Fig. 4 driver: find gradient rise regions, apply the first-peak
 /// rule for L1 and the position rule for single-sample peaks, split merged
 /// multi-level regions, and run the probabilistic estimator on smeared
-/// ones. Levels are returned in ascending size.
+/// ones. Levels are returned in ascending size. Throws DetectError
+/// `detect.bad_sample` when a sample is not a positive, finite cycle count
+/// (a memo or native platform can hand one in).
 [[nodiscard]] std::vector<CacheLevelEstimate> detect_cache_levels(
     const McalibratorCurve& curve, const CacheDetectOptions& options);
 

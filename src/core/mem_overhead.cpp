@@ -1,6 +1,7 @@
 #include "core/mem_overhead.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "base/check.hpp"
 #include "base/log.hpp"
@@ -55,7 +56,10 @@ MemOverheadResult characterize_memory_overhead(MeasureEngine& engine,
 
     MemOverheadResult result;
     result.reference_bandwidth = measured[0][0];
-    SERVET_CHECK(result.reference_bandwidth > 0);
+    if (!(result.reference_bandwidth > 0) || !std::isfinite(result.reference_bandwidth))
+        throw DetectError("detect.bad_sample", "reference copy bandwidth is " +
+                                                   format_exact(result.reference_bandwidth) +
+                                                   " B/s");
 
     // Fig. 6 main loop: keep pairs below the reference and cluster similar
     // overheads into tiers.

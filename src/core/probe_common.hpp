@@ -1,14 +1,32 @@
-// Small helpers shared by the pairwise detection probes (shared-cache,
-// memory-overhead): the pair schedule and the checked traversal sample.
+// Small helpers shared by the detection probes: the error a probe raises
+// when its measured data is unusable, the pair schedule of the pairwise
+// probes (shared-cache, memory-overhead), and the checked traversal sample.
 #pragma once
 
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "base/check.hpp"
+#include "base/text.hpp"
 #include "base/types.hpp"
 #include "platform/platform.hpp"
 
 namespace servet::core {
+
+/// Measured data a detector cannot use: the data, not the caller, is at
+/// fault, so the suite records it as a failed phase instead of aborting.
+/// `code` is stable: `detect.bad_sample` (a cycle count or bandwidth that
+/// is not positive and finite), `detect.no_rise` (the window's miss level is not
+/// above its hit level), `detect.window_narrow` (fewer than two window
+/// samples span a page) or `detect.no_candidate` (no candidate size and
+/// associativity fits the window). what() reads "<code>: <detail>".
+struct DetectError : std::runtime_error {
+    DetectError(std::string error_code, const std::string& detail)
+        : std::runtime_error(error_code + ": " + detail), code(std::move(error_code)) {}
+    std::string code;
+};
 
 /// The probe's pair schedule: every canonical pair of distinct cores, or —
 /// when `only_with_core` is a valid core id — just the pairs containing it
@@ -23,14 +41,18 @@ namespace servet::core {
     return pairs;
 }
 
-/// One traversal sample with the probe-wide sanity check applied: a
-/// non-positive cycle count can only mean a broken platform (or a fault
-/// injected into one), and must fail loudly rather than skew a ratio.
+/// One traversal sample with the probe-wide sanity check applied: a cycle
+/// count that is not positive (NaN included) can only come from a broken
+/// platform or a fault injected into one. It throws DetectError
+/// `detect.bad_sample` rather than skew a ratio.
 [[nodiscard]] inline Cycles checked_traverse(Platform* platform, CoreId core, Bytes array_bytes,
                                              Bytes stride, int passes, bool fresh_placement) {
     const Cycles cycles =
         platform->traverse_cycles(core, array_bytes, stride, passes, fresh_placement);
-    SERVET_CHECK_MSG(cycles > 0, "traversal produced non-positive cycle count");
+    if (!(cycles > 0))
+        throw DetectError("detect.bad_sample", "traversal of " + std::to_string(array_bytes) +
+                                                   " bytes gave " + format_exact(cycles) +
+                                                   " cycles per access");
     return cycles;
 }
 

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "base/check.hpp"
+#include "core/probe_common.hpp"
 #include "stats/gradient.hpp"
 
 namespace servet::core {
@@ -26,8 +27,8 @@ std::optional<TlbEstimate> detect_tlb(Platform& platform, const TlbDetectOptions
         const Bytes array_bytes = static_cast<Bytes>(n) * stride;
         Cycles total = 0;
         for (int r = 0; r < options.repeats; ++r)
-            total += platform.traverse_cycles(options.core, array_bytes, stride,
-                                              options.passes, /*fresh_placement=*/true);
+            total += checked_traverse(&platform, options.core, array_bytes, stride,
+                                      options.passes, /*fresh_placement=*/true);
         pages.push_back(n);
         cycles.push_back(total / options.repeats);
     }

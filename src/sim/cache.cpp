@@ -51,6 +51,15 @@ void SetAssocCache::settle(const CacheCounts& counts, std::uint64_t clock) {
     clock_ = clock;
 }
 
+void SetAssocCache::repeat_since(const CacheMark& since, std::uint64_t times) {
+    counts_.hits += times * (counts_.hits - since.counts.hits);
+    counts_.misses += times * (counts_.misses - since.counts.misses);
+    counts_.evictions += times * (counts_.evictions - since.counts.evictions);
+    counts_.prefetch_fills += times * (counts_.prefetch_fills - since.counts.prefetch_fills);
+    counts_.prefetch_useful += times * (counts_.prefetch_useful - since.counts.prefetch_useful);
+    clock_ += times * (clock_ - since.clock);
+}
+
 void SetAssocCache::digest(Fingerprint& fp) const {
     std::vector<std::uint64_t> ways;  // way indices of one set, LRU first
     for (std::uint64_t set = 0; set < sets_; ++set) {

@@ -66,6 +66,12 @@ struct CacheCounts {
     std::uint64_t prefetch_useful = 0;  ///< first demand hits on such lines
 };
 
+/// A cache's counts and LRU clock at one moment (SetAssocCache::mark()).
+struct CacheMark {
+    CacheCounts counts;
+    std::uint64_t clock = 0;
+};
+
 /// LRU set-associative cache over line addresses.
 class SetAssocCache {
   public:
@@ -100,8 +106,8 @@ class SetAssocCache {
     }
 
     /// Fill without counting a demand access (prefetch path). Touches LRU
-    /// state like a normal fill.
-    void prefetch_fill(std::uint64_t addr) {
+    /// state like a normal fill. Returns true if the line was resident.
+    bool prefetch_fill(std::uint64_t addr) {
         const std::uint64_t line = addr >> line_shift_;
         const std::uint64_t tag = tag_of(line);
         const std::uint64_t base = set_index(line) * static_cast<std::uint64_t>(assoc_);
@@ -109,7 +115,7 @@ class SetAssocCache {
         const int hit_w = scan(base, tag);
         if (hit_w >= 0) {
             stamps_[base + static_cast<std::uint64_t>(hit_w)] = clock_;
-            return;
+            return true;
         }
         const std::uint64_t v = victim_in(base);
         if (tags_[v] != kInvalidTag) ++counts_.evictions;
@@ -117,6 +123,7 @@ class SetAssocCache {
         stamps_[v] = clock_;
         prefetched_[v] = 1;
         ++counts_.prefetch_fills;
+        return false;
     }
 
     /// Set index of the line holding `addr`.
@@ -139,6 +146,13 @@ class SetAssocCache {
     /// Adds the counts of events applied in closed form and sets the LRU
     /// clock to the number of lookups and fills those events made.
     void settle(const CacheCounts& counts, std::uint64_t clock);
+
+    [[nodiscard]] CacheMark mark() const { return {counts_, clock_}; }
+    /// Books the events since `since` `times` more times: adds that many
+    /// copies of the counts and clock ticks gained since, and leaves the
+    /// lines alone. Exact when those events leave the lines as they found
+    /// them, as a collapsed pass does (sim/engine.cpp).
+    void repeat_since(const CacheMark& since, std::uint64_t times);
 
     /// True iff the line is currently resident (no LRU update, no fill).
     [[nodiscard]] bool contains(std::uint64_t addr) const;

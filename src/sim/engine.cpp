@@ -30,6 +30,13 @@ std::uint64_t emitting_accesses(const StreamRunPlan& plan, std::uint64_t count) 
     return n;
 }
 
+/// A demand access's outcome as pass collapsing records it: the level of
+/// its path that served it (the path length for memory) in the low bits,
+/// then whether it consulted its TLB and whether it missed there.
+constexpr std::uint8_t kTlbLookup = 1 << 6;
+constexpr std::uint8_t kTlbMiss = 1 << 7;
+constexpr std::uint8_t kLevelMask = kTlbLookup - 1;
+
 /// Where an event of the init sweep falls in one core's schedule: the
 /// demand access of step `step` is sub 0, its d-th prefetch fill is sub d.
 /// Every core runs the same schedule and batched_pass interleaves the cores
@@ -182,6 +189,18 @@ std::vector<InitLevel> plan_init_levels(const InitSchedule& sweep,
 }
 }  // namespace
 
+/// One core's part of one batched pass, as pass collapsing compares passes
+/// (docs/simulator.md item 5): the pass's run plan, the prefetcher state it
+/// left behind, and the outcome of each demand access and prefetch fill.
+struct PassRecord {
+    StreamRunPlan plan;
+    StreamPrefetcher::State prefetcher;
+    std::vector<std::uint8_t> demands;  ///< per access: level | kTlbLookup | kTlbMiss
+    std::vector<std::uint8_t> fills;    ///< per fill: bit l set iff path level l missed
+
+    friend bool operator==(const PassRecord&, const PassRecord&) = default;
+};
+
 /// Per-core state of one batched traversal: the address cursor, the core's
 /// resolved lookup path, its prefetcher's run plan, and the two one-entry
 /// page-translation caches. Demand and fill translations cache separately
@@ -203,6 +222,9 @@ struct MachineSim::CoreRun {
     std::uint64_t fill_page = kNoPage;
     std::uint64_t fill_frame_base = 0;
     Cycles total = 0;  ///< measured-pass cycle accumulator
+    PassRecord record;       ///< the pass being simulated, when recorded
+    PassRecord previous;     ///< the recorded pass before it
+    std::uint8_t* next_fill = nullptr;  ///< where record.fills takes the next fill
 };
 
 MachineSim::MachineSim(MachineSpec spec)
@@ -366,6 +388,7 @@ void MachineSim::fill_for_prefetch(CoreId core, std::uint64_t vaddr) {
 
 Cycles MachineSim::access_cost(CoreId core, std::uint64_t vaddr, double latency_mult) {
     ++total_accesses_;
+    ++simulated_accesses_;
     ++tally_translations_;
 
     // Prefetcher observes the demand stream and may pull lines in ahead.
@@ -416,7 +439,7 @@ void MachineSim::reference_pass(const std::vector<CoreId>& cores,
     }
 }
 
-inline void MachineSim::batched_fill(CoreRun& run, std::uint64_t vaddr) {
+inline std::uint8_t MachineSim::batched_fill(CoreRun& run, std::uint64_t vaddr) {
     const std::uint64_t vpage = vaddr >> page_shift_;
     std::uint64_t paddr;
     if (vpage == run.fill_page) {
@@ -426,10 +449,14 @@ inline void MachineSim::batched_fill(CoreRun& run, std::uint64_t vaddr) {
         run.fill_page = vpage;
         run.fill_frame_base = paddr & ~page_mask_;
     }
+    std::uint8_t missed = 0;
     for (std::size_t l = 0; l < run.path_len; ++l)
-        run.path[l].cache->prefetch_fill(run.path[l].physically_indexed ? paddr : vaddr);
+        if (!run.path[l].cache->prefetch_fill(run.path[l].physically_indexed ? paddr : vaddr))
+            missed |= static_cast<std::uint8_t>(1U << l);
+    return missed;
 }
 
+template <bool kRecord>
 inline Cycles MachineSim::batched_access(CoreRun& run, std::uint64_t vaddr,
                                          std::uint64_t index) {
     // Translation. Consecutive demand accesses to the same page cannot
@@ -437,19 +464,27 @@ inline Cycles MachineSim::batched_access(CoreRun& run, std::uint64_t vaddr,
     // between, and prefetch fills never do), so the TLB and mapper are
     // consulted only on a page crossing.
     Cycles tlb_penalty = 0;
+    std::uint8_t outcome = 0;
     const std::uint64_t vpage = vaddr >> page_shift_;
     std::uint64_t paddr;
     if (vpage == run.demand_page) {
         paddr = run.demand_frame_base | (vaddr & page_mask_);
     } else {
-        if (run.tlb != nullptr && !run.tlb->access(vaddr)) tlb_penalty = spec_->tlb.miss_cycles;
+        if (run.tlb != nullptr) {
+            outcome = kTlbLookup;
+            if (!run.tlb->access(vaddr)) {
+                tlb_penalty = spec_->tlb.miss_cycles;
+                outcome |= kTlbMiss;
+            }
+        }
         paddr = mapper_->translate(vaddr);
         run.demand_page = vpage;
         run.demand_frame_base = paddr & ~page_mask_;
     }
 
     Cycles cost = -1;
-    for (std::size_t l = 0; l < run.path_len; ++l) {
+    std::size_t l = 0;
+    for (; l < run.path_len; ++l) {
         if (run.path[l].cache->access(run.path[l].physically_indexed ? paddr : vaddr)) {
             cost = run.path[l].hit_cycles;
             break;
@@ -459,6 +494,7 @@ inline Cycles MachineSim::batched_access(CoreRun& run, std::uint64_t vaddr,
         cost = spec_->memory.latency_cycles * run.latency_mult;
         if (run.latency_mult > 1.0) ++tally_contended_;  // bus-queueing stall
     }
+    if constexpr (kRecord) run.record.demands[index] = outcome | static_cast<std::uint8_t>(l);
 
     // Prefetch emission follows the run plan; fills land after the demand
     // lookup, exactly where the scalar oracle issues them.
@@ -469,9 +505,18 @@ inline Cycles MachineSim::batched_access(CoreRun& run, std::uint64_t vaddr,
         for (int d = 1; d <= run.degree; ++d) {
             const std::uint64_t pf_addr = static_cast<std::uint64_t>(
                 static_cast<std::int64_t>(vaddr) + static_cast<std::int64_t>(d) * pf_stride);
-            batched_fill(run, pf_addr);
+            const std::uint8_t missed = batched_fill(run, pf_addr);
+            if constexpr (kRecord) *run.next_fill++ = missed;
         }
     }
+    return cost + tlb_penalty;
+}
+
+Cycles MachineSim::outcome_cycles(const CoreRun& run, std::uint8_t outcome) const {
+    const std::size_t level = outcome & kLevelMask;
+    const Cycles cost = level < run.path_len ? run.path[level].hit_cycles
+                                             : spec_->memory.latency_cycles * run.latency_mult;
+    const Cycles tlb_penalty = (outcome & kTlbMiss) != 0 ? spec_->tlb.miss_cycles : 0;
     return cost + tlb_penalty;
 }
 
@@ -698,12 +743,97 @@ bool MachineSim::closed_form_init(std::vector<CoreRun>& runs, const AccessRun& i
     return true;
 }
 
-template <bool kMeasure>
+void MachineSim::begin_run(std::vector<CoreRun>& runs, const AccessRun& r) {
+    for (CoreRun& run : runs) {
+        run.cursor = run.base + r.base;
+        run.plan = run.prefetcher->plan_run(run.cursor, r.stride, r.count);
+        // The batched inner loop keeps no per-access tallies; the whole
+        // pass is accounted here in closed form (one logical translation
+        // per demand access and per prefetch fill, matching what the
+        // scalar oracle counts as it goes).
+        const std::uint64_t issued =
+            emitting_accesses(run.plan, r.count) * static_cast<std::uint64_t>(run.degree);
+        total_accesses_ += r.count;
+        tally_translations_ += r.count + issued;
+        tally_prefetch_issued_ += issued;
+    }
+}
+
+void MachineSim::measured_passes(std::vector<CoreRun>& runs, const AccessRun& measure,
+                                 int measure_passes) {
+    const std::int64_t stride = measure.stride;
+    const std::uint64_t count = measure.count;
+    // A fill's outcome is one byte with a bit per level, so a deeper
+    // hierarchy is simulated pass by pass.
+    const bool recordable = spec_->levels.size() <= 8;
+    std::vector<CacheMark> marks;
+    for (int pass = -1; pass < measure_passes; ++pass) {  // pass -1 = warm-up
+        begin_run(runs, measure);
+        const bool measured = pass >= 0;
+        // Measured pass j is compared with the pass before it while a pass
+        // after j is left to cut, so the warm-up and passes 0 .. m-2 are
+        // recorded; the last pass, and all of them when m is 1, are not.
+        if (!recordable || std::max(pass, 0) + 1 >= measure_passes) {
+            if (measured)
+                batched_pass<true, false>(runs, stride, count);
+            else
+                batched_pass<false, false>(runs, stride, count);
+            continue;
+        }
+        marks.clear();
+        for (auto& level : caches_)
+            for (const SetAssocCache& cache : level) marks.push_back(cache.mark());
+        for (const SetAssocCache& tlb : tlbs_) marks.push_back(tlb.mark());
+        const std::uint64_t contended = tally_contended_;
+        for (CoreRun& run : runs) {
+            run.record.plan = run.plan;
+            run.record.prefetcher = run.prefetcher->state();
+            run.record.demands.resize(count);
+            run.record.fills.resize(emitting_accesses(run.plan, count) *
+                                    static_cast<std::uint64_t>(run.degree));
+            run.next_fill = run.record.fills.data();
+        }
+        if (measured)
+            batched_pass<true, true>(runs, stride, count);
+        else
+            batched_pass<false, true>(runs, stride, count);
+        const bool repeats =
+            measured && std::all_of(runs.begin(), runs.end(), [](const CoreRun& run) {
+                return run.record == run.previous;
+            });
+        if (!repeats) {
+            for (CoreRun& run : runs) std::swap(run.record, run.previous);
+            continue;
+        }
+        // This pass left the state as it found it, so every later pass
+        // repeats it event for event: book its counts once per remaining
+        // pass and re-add its cycles access by access, in the order the
+        // scalar oracle sums them (a product would round differently).
+        const std::uint64_t skipped = static_cast<std::uint64_t>(measure_passes - 1 - pass);
+        std::size_t i = 0;
+        for (auto& level : caches_)
+            for (SetAssocCache& cache : level) cache.repeat_since(marks[i++], skipped);
+        for (SetAssocCache& tlb : tlbs_) tlb.repeat_since(marks[i++], skipped);
+        tally_contended_ += skipped * (tally_contended_ - contended);
+        for (std::uint64_t s = 0; s < skipped; ++s) {
+            begin_run(runs, measure);
+            for (CoreRun& run : runs) {
+                SERVET_CHECK(run.plan == run.record.plan);
+                for (const std::uint8_t outcome : run.record.demands)
+                    run.total += outcome_cycles(run, outcome);
+            }
+        }
+        return;
+    }
+}
+
+template <bool kMeasure, bool kRecord>
 void MachineSim::batched_pass(std::vector<CoreRun>& runs, std::int64_t stride,
                               std::uint64_t count) {
+    simulated_accesses_ += count * runs.size();
     for (std::uint64_t k = 0; k < count; ++k) {
         for (CoreRun& run : runs) {
-            const Cycles cost = batched_access(run, run.cursor, k);
+            const Cycles cost = batched_access<kRecord>(run, run.cursor, k);
             run.cursor += static_cast<std::uint64_t>(stride);
             if constexpr (kMeasure) run.total += cost;
         }
@@ -752,32 +882,10 @@ TraversalResult MachineSim::run_traversal(const std::vector<CoreId>& cores, Byte
             runs[i].prefetcher = &prefetchers_[core];
             runs[i].degree = prefetchers_[core].spec().degree;
         }
-        const auto begin_run = [this](std::vector<CoreRun>& rs, const AccessRun& r) {
-            for (CoreRun& run : rs) {
-                run.cursor = run.base + r.base;
-                run.plan = run.prefetcher->plan_run(run.cursor, r.stride, r.count);
-                // The batched inner loop keeps no per-access tallies; the
-                // whole pass is accounted here in closed form (one logical
-                // translation per demand access and per prefetch fill,
-                // matching what the scalar oracle counts as it goes).
-                const std::uint64_t issued =
-                    emitting_accesses(run.plan, r.count) *
-                    static_cast<std::uint64_t>(run.degree);
-                total_accesses_ += r.count;
-                tally_translations_ += r.count + issued;
-                tally_prefetch_issued_ += issued;
-            }
-        };
         begin_run(runs, stream.init);
         if (!closed_form_init(runs, stream.init))
-            batched_pass<false>(runs, stream.init.stride, stream.init.count);
-        for (int pass = -1; pass < measure_passes; ++pass) {  // pass -1 = warm-up
-            begin_run(runs, stream.measure);
-            if (pass >= 0)
-                batched_pass<true>(runs, stream.measure.stride, stream.measure.count);
-            else
-                batched_pass<false>(runs, stream.measure.stride, stream.measure.count);
-        }
+            batched_pass<false, false>(runs, stream.init.stride, stream.init.count);
+        measured_passes(runs, stream.measure, measure_passes);
         for (std::size_t i = 0; i < n_cores; ++i) total[i] = runs[i].total;
     } else {
         // Initialization: the benchmark's setup loop writes the stride into

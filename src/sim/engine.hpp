@@ -12,7 +12,10 @@
 //    resolved to a flat array at reset time, the prefetcher is notified
 //    per constant-stride run instead of per access, and a one-entry
 //    per-core page-translation cache collapses the page mapper and TLB
-//    work to one consultation per page crossing.
+//    work to one consultation per page crossing. The init sweep is
+//    written in closed form, and once a measured pass provably repeats
+//    the pass before it, the remaining passes are booked from its record
+//    instead of simulated.
 //
 //  - traverse_reference(): the scalar oracle — one access_cost() call per
 //    core per element. Slow, obviously correct, and the equivalence
@@ -108,6 +111,11 @@ class MachineSim {
 
     /// Total simulated demand accesses since construction (for perf tests).
     [[nodiscard]] std::uint64_t total_accesses() const { return total_accesses_; }
+    /// The part of total_accesses() that was pushed through the caches one
+    /// by one. The batched engine applies the init sweep in closed form and
+    /// replays passes that repeat the pass before them, so it simulates
+    /// fewer; the scalar oracle simulates every access.
+    [[nodiscard]] std::uint64_t simulated_accesses() const { return simulated_accesses_; }
 
     /// Hash of the simulated microarchitectural state, normalised so that
     /// both engines agree on it after every traversal: each cache's
@@ -154,8 +162,9 @@ class MachineSim {
 
     /// Batched engine: the same interleaved run, streamed through the
     /// resolved paths with run-level prefetcher plans and page-translation
-    /// caches. kMeasure selects cycle accumulation at compile time.
-    template <bool kMeasure>
+    /// caches. kMeasure selects cycle accumulation at compile time, kRecord
+    /// the per-access outcome record that pass collapsing compares.
+    template <bool kMeasure, bool kRecord>
     void batched_pass(std::vector<CoreRun>& runs, std::int64_t stride, std::uint64_t count);
 
     /// The init sweep of `runs` (planned with begin-of-run prefetcher plans
@@ -165,12 +174,28 @@ class MachineSim {
     /// precondition (docs/simulator.md); the caller then runs the pass.
     bool closed_form_init(std::vector<CoreRun>& runs, const AccessRun& init);
 
+    /// Starts every core of `runs` on `run`: resets its cursor, plans its
+    /// prefetcher over the run, and tallies the run's accesses,
+    /// translations and prefetch issues.
+    void begin_run(std::vector<CoreRun>& runs, const AccessRun& run);
+
+    /// The warm-up and measured passes of `runs` over `measure`, collapsed
+    /// once a measured pass provably repeats the pass before it: the
+    /// remaining passes are then booked from its record instead of
+    /// simulated (docs/simulator.md item 5).
+    void measured_passes(std::vector<CoreRun>& runs, const AccessRun& measure,
+                         int measure_passes);
+
     /// One batched demand access (defined in engine.cpp, inlined into the
     /// pass loops). `index` is the access's position within its run; the
     /// run's StreamRunPlan decides whether it emits prefetches.
+    template <bool kRecord>
     Cycles batched_access(CoreRun& run, std::uint64_t vaddr, std::uint64_t index);
-    /// One batched prefetch fill through `run`'s resolved path.
-    void batched_fill(CoreRun& run, std::uint64_t vaddr);
+    /// One batched prefetch fill through `run`'s resolved path. Returns the
+    /// levels it missed, bit l for path level l.
+    std::uint8_t batched_fill(CoreRun& run, std::uint64_t vaddr);
+    /// The cycles batched_access returned for a recorded outcome.
+    [[nodiscard]] Cycles outcome_cycles(const CoreRun& run, std::uint8_t outcome) const;
 
     /// Cost of one demand access by `core` at virtual address `vaddr`,
     /// including prefetcher side effects. `latency_mult` scales the
@@ -231,6 +256,7 @@ class MachineSim {
     std::uint64_t page_mask_ = 0;  // page_size - 1
     std::uint64_t run_counter_ = 0;
     std::uint64_t total_accesses_ = 0;
+    std::uint64_t simulated_accesses_ = 0;
     std::uint64_t tally_prefetch_issued_ = 0;
     std::uint64_t tally_contended_ = 0;
     /// Logical translation count: one per demand access plus one per

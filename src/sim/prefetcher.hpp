@@ -40,6 +40,8 @@ struct StreamRunPlan {
     /// >= count means no steady-state emission in this run.
     std::uint64_t emit_from = 0;
     std::int64_t emit_stride = 0;   ///< tracked stride for accesses >= 1
+
+    friend bool operator==(const StreamRunPlan&, const StreamRunPlan&) = default;
 };
 
 class StreamPrefetcher {
@@ -61,6 +63,18 @@ class StreamPrefetcher {
                                          std::uint64_t count);
 
     void reset();
+
+    /// The stride-tracking state: all that observe() and plan_run() read.
+    /// Two prefetchers of one spec in the same state plan every run alike.
+    struct State {
+        std::uint64_t last_addr = 0;
+        std::int64_t last_stride = 0;
+        int streak = 0;
+        bool has_last = false;
+
+        friend bool operator==(const State&, const State&) = default;
+    };
+    [[nodiscard]] State state() const { return {last_addr_, last_stride_, streak_, has_last_}; }
 
     /// Feeds the stride-tracking state to `fp`.
     void digest(Fingerprint& fp) const {

@@ -47,7 +47,11 @@ std::vector<CoreId> sharing_pair(const MachineSpec& spec) {
 /// run_counter_ advancement is exercised too). The init sweep's edges get
 /// their own calls: prefetch fills running past the array into a page of
 /// their own, an array inside one L1 way, a size that is no whole number
-/// of pages, and a concurrent pair sharing a cache instance.
+/// of pages, and a concurrent pair sharing a cache instance. So do pass
+/// collapsing's: 1, 2 and 5 measured passes, a stride past one page
+/// (where dempsey's first comparison fails), a TLB with fewer entries than the
+/// array has pages, a 256 B stride whose fills run past the array's end,
+/// and a concurrent pair sharing an instance.
 std::vector<TraverseCall> call_schedule(const MachineSpec& spec) {
     const Bytes l1 = spec.levels.front().geometry.size;
     const Bytes l1_way = l1 / static_cast<Bytes>(spec.levels.front().geometry.associativity);
@@ -62,6 +66,14 @@ std::vector<TraverseCall> call_schedule(const MachineSpec& spec) {
     calls.push_back({{0}, 2 * page, 1 * KiB, 1, true});  // fills fault in a third page
     calls.push_back({{0}, l1_way / 2, 256, 2, true});    // inside one L1 way
     calls.push_back({{0}, 5 * page + page / 3, 1 * KiB, 2, true});  // no whole page
+    calls.push_back({{0}, llc + llc / 4, 1 * KiB, 5, true});
+    calls.push_back({{0}, llc / 2, page + 64, 5, true});
+    calls.push_back({{0}, 4 * page, 256, 5, true});       // fills past the end
+    calls.push_back({{0}, 2 * l1, 256, 5, false});
+    if (spec.tlb.enabled) {
+        const Bytes tlb_reach = static_cast<Bytes>(spec.tlb.entries) * page;
+        calls.push_back({{0}, 2 * tlb_reach, 1 * KiB, 5, true});
+    }
     if (spec.n_cores >= 2) {
         calls.push_back({{0, spec.n_cores - 1}, llc / 2, 1 * KiB, 2, false});
         calls.push_back({{0, 1}, llc + llc / 4, 1 * KiB, 1, true});  // contended misses
@@ -69,6 +81,8 @@ std::vector<TraverseCall> call_schedule(const MachineSpec& spec) {
     if (const std::vector<CoreId> pair = sharing_pair(spec); !pair.empty()) {
         calls.push_back({pair, llc / 2, 1 * KiB, 2, true});
         calls.push_back({{pair[1], pair[0]}, llc + llc / 4, 1 * KiB, 1, false});
+        calls.push_back({pair, 4 * page, 256, 5, true});
+        calls.push_back({pair, llc / 2, 1 * KiB, 5, false});
     }
     if (spec.n_cores >= 3) calls.push_back({{2, 0, 1}, 2 * l1, 256, 2, true});
     return calls;
@@ -176,6 +190,43 @@ TEST(BatchedEquivalence, PrefetcherVariants) {
     MachineSpec off = zoo::dempsey();
     off.prefetcher.enabled = false;
     expect_engines_agree(off, "dempsey+no-prefetch");
+}
+
+/// Pass collapsing on the profile's own probe: a 6 MiB dempsey array at
+/// the 1 KiB stride settles in the warm-up, so of the warm-up and 3
+/// measured passes only the warm-up and pass 0 are simulated (the init
+/// sweep is closed-form), and the result is still the oracle's.
+TEST(PassCollapsing, SettledProbeSimulatesWarmUpAndOnePass) {
+    const MachineSpec spec = zoo::dempsey();
+    MachineSim batched(spec);
+    MachineSim reference(spec);
+    const Bytes size = 6 * MiB;
+    const std::uint64_t count = size / KiB;
+    const TraversalResult b = batched.traverse({0}, size, 1 * KiB, 3);
+    const TraversalResult r = reference.traverse_reference({0}, size, 1 * KiB, 3);
+    EXPECT_EQ(batched.simulated_accesses(), 2 * count);
+    EXPECT_EQ(batched.total_accesses(), reference.total_accesses());
+    EXPECT_EQ(reference.simulated_accesses(), reference.total_accesses());
+    EXPECT_EQ(b.cycles_per_access, r.cycles_per_access);
+    EXPECT_EQ(batched.state_digest(), reference.state_digest());
+}
+
+/// A traversal whose pass 0 does not repeat the warm-up: at a stride past
+/// one page the caches settle one pass later, so the first comparison
+/// fails and the second collapses the last 3 of 5 passes. Found by a
+/// randomized sweep of machines, sizes, strides and pass counts.
+TEST(PassCollapsing, FailedFirstComparisonStillMatchesOracle) {
+    const MachineSpec spec = zoo::dempsey();
+    MachineSim batched(spec);
+    MachineSim reference(spec);
+    const Bytes size = 1 * MiB;
+    const Bytes stride = spec.page_size + 64;
+    const std::uint64_t count = (size + stride - 1) / stride;
+    const TraversalResult b = batched.traverse({0}, size, stride, 5);
+    const TraversalResult r = reference.traverse_reference({0}, size, stride, 5);
+    EXPECT_EQ(batched.simulated_accesses(), 3 * count);
+    EXPECT_EQ(b.cycles_per_access, r.cycles_per_access);
+    EXPECT_EQ(batched.state_digest(), reference.state_digest());
 }
 
 class RandomizedEquivalence : public ::testing::TestWithParam<std::uint64_t> {};

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "stats/binomial.hpp"
@@ -237,6 +238,19 @@ TEST(ProbabilisticErrors, RejectsWindowBelowEveryCandidateSize) {
     EXPECT_EQ(detect_error_code(
                   [&] { return probabilistic_cache_size(curve, 0, 2, CacheDetectOptions{}); }),
               "detect.no_candidate");
+}
+
+TEST(ProbabilisticErrors, RejectsSampleThatIsNoPositiveCycleCount) {
+    // A memo file or a native platform can hand detection such a sample;
+    // it must fail the phase with a stable code, not abort the run.
+    for (const double bad : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+        McalibratorCurve curve;
+        curve.sizes = {4 * KiB, 8 * KiB, 16 * KiB, 32 * KiB};
+        curve.cycles = {2.0, bad, 2.0, 9.0};
+        EXPECT_EQ(detect_error_code([&] { return detect_cache_levels(curve, {}); }),
+                  "detect.bad_sample")
+            << bad;
+    }
 }
 
 }  // namespace

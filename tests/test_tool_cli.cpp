@@ -160,6 +160,67 @@ TEST(ToolCli, InjectedPhaseFailureYieldsPartialProfileAndExitCode3) {
     std::remove(path.c_str());
 }
 
+TEST(ToolCli, NaNPlatformSamplesFailTheirPhasesWithExitCode3) {
+    // nan=1 turns every platform sample into NaN: the cache-size and
+    // memory phases fail with detect.bad_sample, the comm phase still
+    // measures through the network, and the run exits 3, not 134.
+    const std::string path = ::testing::TempDir() + "/tool_cli_nan.profile";
+    const auto result =
+        run_tool("profile --machine dempsey --fast --faults nan=1,seed=1 --out " + path);
+    EXPECT_EQ(result.exit_code, 3) << result.output;
+    std::ifstream in(path);
+    std::stringstream stored;
+    stored << in.rdbuf();
+    EXPECT_NE(stored.str().find("cache_size = detect.bad_sample"), std::string::npos)
+        << stored.str();
+    EXPECT_NE(stored.str().find("mem_overhead = detect.bad_sample"), std::string::npos)
+        << stored.str();
+    std::remove(path.c_str());
+}
+
+TEST(ToolCli, BadMemoValueFailsCacheSizePhaseWithExitCode3) {
+    // A memo file is data from outside the run: a replayed mcalibrator
+    // sample of 0, -1 or NaN must cost the cache-size phase, not abort.
+    const std::string memo = ::testing::TempDir() + "/tool_cli_bad_value.memo";
+    const std::string path = ::testing::TempDir() + "/tool_cli_bad_value.profile";
+    std::remove(memo.c_str());
+    ASSERT_EQ(run_tool("profile --machine dempsey --fast --memo " + memo + " --out " + path)
+                  .exit_code,
+              0);
+    std::vector<std::string> lines;
+    {
+        std::ifstream in(memo);
+        for (std::string line; std::getline(in, line);) lines.push_back(line);
+    }
+    for (const char* bad : {"0x0p+0", "-0x1p+0", "nan"}) {
+        {
+            // Records read "<key> <count> <values...>"; the first mcalibrator
+            // record holds one value.
+            std::ofstream out(memo, std::ios::trunc);
+            bool replaced = false;
+            for (const std::string& line : lines) {
+                if (!replaced && line.find("/mcal/") != std::string::npos) {
+                    out << line.substr(0, line.rfind(' ') + 1) << bad << "\n";
+                    replaced = true;
+                } else {
+                    out << line << "\n";
+                }
+            }
+            ASSERT_TRUE(replaced);
+        }
+        const auto result =
+            run_tool("profile --machine dempsey --fast --memo " + memo + " --out " + path);
+        EXPECT_EQ(result.exit_code, 3) << bad << "\n" << result.output;
+        std::ifstream in(path);
+        std::stringstream stored;
+        stored << in.rdbuf();
+        EXPECT_NE(stored.str().find("cache_size = detect.bad_sample"), std::string::npos)
+            << bad << "\n" << stored.str();
+    }
+    std::remove(memo.c_str());
+    std::remove(path.c_str());
+}
+
 TEST(ToolCli, FaultsWithRobustSamplingStillSucceed) {
     // Survivable fault rates through the adaptive sampler: exit 0 and a
     // complete profile, faults notwithstanding.
