@@ -1,11 +1,14 @@
 #include "core/comm_costs.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "base/check.hpp"
 #include "base/fault_plan.hpp"
 #include "base/log.hpp"
+#include "base/text.hpp"
+#include "core/probe_common.hpp"
 #include "obs/metrics.hpp"
 #include "stats/cluster.hpp"
 
@@ -33,6 +36,19 @@ auto with_retries(int max_retries, Probe&& probe) {
             retries_counter().increment();
         }
     }
+}
+
+/// Every latency `task` measured, with the phase-wide sanity check
+/// applied: a sample that is not positive and finite (a corrupt memo
+/// record, a broken transport) throws DetectError `detect.bad_sample`
+/// rather than skew a layer.
+const std::vector<double>& checked_latencies(const MeasureTask& task,
+                                             const std::vector<double>& samples) {
+    for (const double sample : samples)
+        if (!(sample > 0 && std::isfinite(sample)))
+            throw DetectError("detect.bad_sample", task.key + " gave a latency of " +
+                                                       format_exact(sample) + " s");
+    return samples;
 }
 
 std::vector<Bytes> default_sweep_sizes() {
@@ -157,8 +173,7 @@ CommCostsResult characterize_communication(MeasureEngine& engine,
 
     stats::SimilarityClusterer clusterer(options.cluster_tolerance);
     for (std::size_t pi = 0; pi < pairs.size(); ++pi) {
-        const Seconds latency = probed[pi][0];
-        SERVET_CHECK(latency > 0);
+        const Seconds latency = checked_latencies(probe_tasks[pi], probed[pi])[0];
         clusterer.add(latency, result.pairs.size());
         result.pairs.push_back({pairs[pi], latency});
     }
@@ -211,10 +226,10 @@ CommCostsResult characterize_communication(MeasureEngine& engine,
                 task.key += '-';
                 task.key += std::to_string(pair.b);
             }
-            task.body = [active, options](Platform*, msg::Network* network) {
-                return with_retries(options.max_retries, [&] {
-                    return network->concurrent_latency(active, options.probe_message,
-                                                       options.reps);
+            task.body = [active, message = options.probe_message, reps = options.reps,
+                         max_retries = options.max_retries](Platform*, msg::Network* network) {
+                return with_retries(max_retries, [&] {
+                    return network->concurrent_latency(active, message, reps);
                 });
             };
             plan.concurrent_task.push_back(detail_tasks.size());
@@ -226,15 +241,18 @@ CommCostsResult characterize_communication(MeasureEngine& engine,
         .add(detail_tasks.size());
     const std::vector<std::vector<double>> detailed = engine.run(detail_tasks);
 
+    const auto sample = [&](std::size_t task) -> const std::vector<double>& {
+        return checked_latencies(detail_tasks[task], detailed[task]);
+    };
     for (std::size_t li = 0; li < result.layers.size(); ++li) {
         CommLayer& layer = result.layers[li];
         const LayerPlan& plan = plans[li];
         for (std::size_t si = 0; si < sweep.size(); ++si)
-            layer.p2p.emplace_back(sweep[si], detailed[plan.sweep_task[si]][0]);
+            layer.p2p.emplace_back(sweep[si], sample(plan.sweep_task[si])[0]);
 
-        const Seconds isolated = detailed[plan.isolated_task][0];
+        const Seconds isolated = sample(plan.isolated_task)[0];
         for (std::size_t ki = 0; ki < plan.concurrent_task.size(); ++ki) {
-            const std::vector<double>& latencies = detailed[plan.concurrent_task[ki]];
+            const std::vector<double>& latencies = sample(plan.concurrent_task[ki]);
             // The paper reports how much slower one message gets with the
             // others in flight: use the mean across active senders.
             Seconds total = 0;

@@ -83,6 +83,8 @@ struct CommCostsResult {
 /// concurrent senders for the scalability probe.
 [[nodiscard]] std::vector<CorePair> disjoint_pairs(const std::vector<CorePair>& pairs);
 
+/// Throws DetectError `detect.bad_sample` when a measured latency is not
+/// positive and finite.
 [[nodiscard]] CommCostsResult characterize_communication(MeasureEngine& engine,
                                                          const CommCostsOptions& options = {});
 

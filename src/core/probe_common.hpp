@@ -17,11 +17,12 @@ namespace servet::core {
 
 /// Measured data a detector cannot use: the data, not the caller, is at
 /// fault, so the suite records it as a failed phase instead of aborting.
-/// `code` is stable: `detect.bad_sample` (a cycle count or bandwidth that
-/// is not positive and finite), `detect.no_rise` (the window's miss level is not
-/// above its hit level), `detect.window_narrow` (fewer than two window
-/// samples span a page) or `detect.no_candidate` (no candidate size and
-/// associativity fits the window). what() reads "<code>: <detail>".
+/// `code` is stable: `detect.bad_sample` (a cycle count, bandwidth or
+/// latency that is not positive and finite), `detect.no_rise` (the
+/// window's miss level is not above its hit level), `detect.window_narrow`
+/// (fewer than two window samples span a page) or `detect.no_candidate`
+/// (no candidate size and associativity fits the window). what() reads
+/// "<code>: <detail>".
 struct DetectError : std::runtime_error {
     DetectError(std::string error_code, const std::string& detail)
         : std::runtime_error(error_code + ": " + detail), code(std::move(error_code)) {}

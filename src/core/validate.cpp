@@ -135,9 +135,10 @@ class Checker {
         for (std::size_t i = 0; i < profile_.comm.size(); ++i) {
             const ProfileCommLayer& layer = profile_.comm[i];
             const std::string name = "comm layer " + std::to_string(i);
-            if (layer.latency <= 0)
+            if (!(layer.latency > 0 && std::isfinite(layer.latency)))
                 add("comm.latency-positive", Severity::Error, kPhaseCommCosts,
-                    name + " latency is " + fmt(layer.latency) + "; must be positive");
+                    name + " latency is " + fmt(layer.latency) +
+                        "; must be positive and finite");
             if (i > 0 && layer.latency < profile_.comm[i - 1].latency * (1.0 - kRatioSlack))
                 add("comm.latency-order", Severity::Error, kPhaseCommCosts,
                     name + " latency (" + fmt(layer.latency) + "s) is below layer " +
@@ -154,11 +155,14 @@ class Checker {
             }
             check_p2p(layer, i, name);
             for (std::size_t k = 0; k < layer.slowdown.size(); ++k) {
-                if (layer.slowdown[k] < 1.0 - kRatioSlack)
+                const double slowdown = layer.slowdown[k];
+                if (!std::isfinite(slowdown) || slowdown < 1.0 - kRatioSlack)
                     add("comm.slowdown-band", Severity::Warning, kPhaseCommCosts,
                         name + " slowdown at " + std::to_string(k + 1) +
-                            " concurrent messages is " + fmt(layer.slowdown[k]) +
-                            "; concurrency cannot make a link faster than idle");
+                            " concurrent messages is " + fmt(slowdown) +
+                            (std::isfinite(slowdown)
+                                 ? "; concurrency cannot make a link faster than idle"
+                                 : "; must be finite"));
             }
         }
     }
@@ -166,10 +170,10 @@ class Checker {
     void check_p2p(const ProfileCommLayer& layer, std::size_t index, const std::string& name) {
         for (std::size_t k = 0; k < layer.p2p.size(); ++k) {
             const auto& [size, latency] = layer.p2p[k];
-            if (latency <= 0)
+            if (!(latency > 0 && std::isfinite(latency)))
                 add("comm.p2p-latency-positive", Severity::Error, kPhaseCommCosts,
                     name + " p2p latency at " + std::to_string(size) + " bytes is " +
-                        fmt(latency) + "; must be positive");
+                        fmt(latency) + "; must be positive and finite");
             if (k > 0 && size <= layer.p2p[k - 1].first)
                 add("comm.p2p-size-order", Severity::Error, kPhaseCommCosts,
                     name + " p2p sweep sizes are not strictly increasing at entry " +

@@ -1,6 +1,5 @@
 #include "msg/sim_network.hpp"
 
-#include <map>
 #include <string>
 
 #include "base/check.hpp"
@@ -51,14 +50,21 @@ SimNetwork::SimNetwork(const SimNetwork& parent, std::uint64_t noise_seed)
       noise_(noise_seed),
       layer_transfers_(parent.layer_transfers_) {}
 
-void SimNetwork::count_transfers(CorePair pair, Bytes size, int reps) {
+void SimNetwork::count_transfers(int layer, Bytes size, int reps) {
     // A ping-pong rep is two messages, one each way.
     const std::uint64_t transfers = 2 * static_cast<std::uint64_t>(reps);
     messages_counter().add(transfers);
     bytes_counter().add(transfers * size);
-    const int layer = model_.layer_of(pair);
-    if (layer >= 0 && layer < static_cast<int>(layer_transfers_.size()))
-        layer_transfers_[static_cast<std::size_t>(layer)]->add(transfers);
+    layer_transfers_[static_cast<std::size_t>(layer)]->add(transfers);
+}
+
+Seconds SimNetwork::mean_of_reps(Seconds latency, int reps) {
+    // Reps average out jitter, as on hardware: the modelled latency is the
+    // same on every rep, only its noise is drawn per rep.
+    Seconds total = 0;
+    for (int r = 0; r < reps; ++r)
+        total += latency * noise_.jitter(model_.spec().measurement_jitter);
+    return total / reps;
 }
 
 std::string SimNetwork::name() const { return "simnet:" + model_.spec().name; }
@@ -76,13 +82,9 @@ Seconds SimNetwork::pingpong_latency(CorePair pair, Bytes size, int reps) {
     SERVET_TRACE_SPAN("msg/pingpong");
     SERVET_CHECK(reps > 0);
     pingpong_calls().increment();
-    count_transfers(pair, size, reps);
-    // Reps average out jitter, as on hardware: simulate each rep's noise.
-    Seconds total = 0;
-    for (int r = 0; r < reps; ++r)
-        total += model_.latency(pair, size) *
-                 noise_.jitter(model_.spec().measurement_jitter);
-    return total / reps;
+    const sim::PairCost cost = model_.cost(pair, size);
+    count_transfers(cost.layer, size, reps);
+    return mean_of_reps(cost.latency, reps);
 }
 
 std::vector<Seconds> SimNetwork::concurrent_latency(const std::vector<CorePair>& pairs,
@@ -90,22 +92,22 @@ std::vector<Seconds> SimNetwork::concurrent_latency(const std::vector<CorePair>&
     SERVET_TRACE_SPAN("msg/concurrent");
     SERVET_CHECK(!pairs.empty() && reps > 0);
     concurrent_calls().increment();
-    for (const CorePair& pair : pairs) count_transfers(pair, size, reps);
     // Contention is per layer: messages sharing a layer slow each other
     // down; traffic on other layers does not interfere.
-    std::map<int, int> on_layer;
-    for (const CorePair& pair : pairs) ++on_layer[model_.layer_of(pair)];
+    std::vector<sim::PairCost> costs;
+    costs.reserve(pairs.size());
+    std::vector<int> on_layer(layer_transfers_.size(), 0);
+    for (const CorePair& pair : pairs) {
+        costs.push_back(model_.cost(pair, size));
+        count_transfers(costs.back().layer, size, reps);
+        ++on_layer[static_cast<std::size_t>(costs.back().layer)];
+    }
 
     std::vector<Seconds> result;
     result.reserve(pairs.size());
-    for (const CorePair& pair : pairs) {
-        const int concurrent = on_layer[model_.layer_of(pair)];
-        Seconds total = 0;
-        for (int r = 0; r < reps; ++r)
-            total += model_.latency_concurrent(pair, size, concurrent) *
-                     noise_.jitter(model_.spec().measurement_jitter);
-        result.push_back(total / reps);
-    }
+    for (const sim::PairCost& cost : costs)
+        result.push_back(mean_of_reps(
+            cost.concurrent(on_layer[static_cast<std::size_t>(cost.layer)]), reps));
     return result;
 }
 

@@ -34,9 +34,13 @@ class SimNetwork final : public Network {
     /// noise stream.
     SimNetwork(const SimNetwork& parent, std::uint64_t noise_seed);
 
-    /// Credits `2 * reps` simulated transfers of `size` bytes on `pair`'s
-    /// layer to the msg.* counters.
-    void count_transfers(CorePair pair, Bytes size, int reps);
+    /// Credits `2 * reps` simulated transfers of `size` bytes on `layer`
+    /// to the msg.* counters.
+    void count_transfers(int layer, Bytes size, int reps);
+
+    /// Mean over `reps` repetitions of `latency` times each one's jitter
+    /// draw.
+    [[nodiscard]] Seconds mean_of_reps(Seconds latency, int reps);
 
     std::shared_ptr<const sim::MachineSpec> spec_;  // shared with forks
     sim::InterconnectModel model_;  // points into *spec_, so it survives moves

@@ -17,38 +17,32 @@ bool InterconnectModel::routed(CorePair pair) const {
     return topology_ && spec_->node_of(pair.a) != spec_->node_of(pair.b);
 }
 
-int InterconnectModel::layer_of(CorePair pair) const {
-    if (routed(pair))
-        return static_cast<int>(spec_->comm_layers.size()) +
-               topology_->route_class(spec_->node_of(pair.a), spec_->node_of(pair.b)).tier;
-    return spec_->comm_layer_of(pair);
-}
-
 const CommLayerSpec& InterconnectModel::layer(int index) const {
     SERVET_CHECK(index >= 0 && index < static_cast<int>(spec_->comm_layers.size()));
     return spec_->comm_layers[static_cast<std::size_t>(index)];
 }
 
-Seconds InterconnectModel::latency(CorePair pair, Bytes size) const {
-    if (routed(pair))
-        return topology_->latency(spec_->node_of(pair.a), spec_->node_of(pair.b), size);
-    const CommLayerSpec& l = layer(spec_->comm_layer_of(pair));
-    Seconds t = l.base_latency + static_cast<double>(size) / l.bandwidth;
-    if (size > l.eager_threshold) t += l.rendezvous_extra;
-    return t;
+PairCost InterconnectModel::cost(CorePair pair, Bytes size) const {
+    PairCost cost;
+    if (routed(pair)) {
+        const RouteCost route =
+            topology_->route_cost(spec_->node_of(pair.a), spec_->node_of(pair.b), size);
+        cost.layer = static_cast<int>(spec_->comm_layers.size()) + route.cls.tier;
+        cost.latency = route.latency;
+        cost.exponent = topology_->tier(route.cls.tier).congestion_exponent;
+        return cost;
+    }
+    cost.layer = spec_->comm_layer_of(pair);
+    const CommLayerSpec& l = layer(cost.layer);
+    cost.latency = l.base_latency + static_cast<double>(size) / l.bandwidth;
+    if (size > l.eager_threshold) cost.latency += l.rendezvous_extra;
+    cost.exponent = l.concurrency_exponent;
+    return cost;
 }
 
-Seconds InterconnectModel::latency_concurrent(CorePair pair, Bytes size, int concurrent) const {
-    SERVET_CHECK(concurrent >= 1);
-    double exponent = 0.0;
-    if (routed(pair)) {
-        const RouteClass cls = topology_->route_class(spec_->node_of(pair.a),
-                                                      spec_->node_of(pair.b));
-        exponent = topology_->tier(cls.tier).congestion_exponent;
-    } else {
-        exponent = layer(spec_->comm_layer_of(pair)).concurrency_exponent;
-    }
-    return latency(pair, size) * std::pow(static_cast<double>(concurrent), exponent);
+Seconds PairCost::concurrent(int n) const {
+    SERVET_CHECK(n >= 1);
+    return latency * std::pow(static_cast<double>(n), exponent);
 }
 
 }  // namespace servet::sim

@@ -18,14 +18,22 @@
 
 namespace servet::sim {
 
+/// What a pair's messages of one size cost, resolved once: the layer that
+/// carries them, the isolated one-way latency and the layer's congestion
+/// exponent.
+struct PairCost {
+    int layer = 0;
+    Seconds latency = 0;
+    double exponent = 0.0;
+
+    /// One-way latency when `n` messages (including this one) traverse
+    /// the same layer simultaneously: latency * n^exponent.
+    [[nodiscard]] Seconds concurrent(int n) const;
+};
+
 class InterconnectModel {
   public:
     explicit InterconnectModel(const MachineSpec& spec);
-
-    /// Index of the layer carrying traffic between the pair. Topology
-    /// tiers follow the comm layers: [0, comm_layers.size()) are
-    /// intra-node layers, the rest are bottleneck tiers.
-    [[nodiscard]] int layer_of(CorePair pair) const;
 
     /// Intra-node layer spec; `index` must be below comm_layers.size().
     [[nodiscard]] const CommLayerSpec& layer(int index) const;
@@ -33,12 +41,16 @@ class InterconnectModel {
         return static_cast<int>(spec_->comm_layers.size() + spec_->topology.tiers.size());
     }
 
-    /// One-way latency for an isolated message of `size` bytes.
-    [[nodiscard]] Seconds latency(CorePair pair, Bytes size) const;
+    /// The pair's cost at `size`; a routed pair's route is walked once.
+    /// Topology tiers follow the comm layers in the layer index:
+    /// [0, comm_layers.size()) are intra-node layers, the rest are
+    /// bottleneck tiers.
+    [[nodiscard]] PairCost cost(CorePair pair, Bytes size) const;
 
-    /// One-way latency when `concurrent` messages (including this one)
-    /// traverse the same layer simultaneously: latency * N^exponent.
-    [[nodiscard]] Seconds latency_concurrent(CorePair pair, Bytes size, int concurrent) const;
+    /// One-way latency for an isolated message of `size` bytes.
+    [[nodiscard]] Seconds latency(CorePair pair, Bytes size) const {
+        return cost(pair, size).latency;
+    }
 
     [[nodiscard]] const MachineSpec& spec() const { return *spec_; }
 

@@ -456,6 +456,19 @@ Seconds Topology::latency(int node_a, int node_b, Bytes size) const {
     return total;
 }
 
+RouteCost Topology::route_cost(int node_a, int node_b, Bytes size) const {
+    SERVET_CHECK_MSG(!spec_.tiers.empty(), "topology latency needs tier parameters");
+    const std::vector<RouteHop> hops = route(node_a, node_b);
+    RouteCost cost;
+    cost.cls.hops = static_cast<int>(hops.size());
+    for (const RouteHop& hop : hops) {
+        cost.cls.tier = std::max(cost.cls.tier, hop.tier);
+        const TopologyTier& t = tier(hop.tier);
+        cost.latency += t.hop_latency + static_cast<double>(size) / t.bandwidth;
+    }
+    return cost;
+}
+
 const TopologyTier& Topology::tier(int index) const {
     SERVET_CHECK(index >= 0 && index < static_cast<int>(spec_.tiers.size()));
     return spec_.tiers[static_cast<std::size_t>(index)];

@@ -98,6 +98,13 @@ struct RouteClass {
     friend auto operator<=>(const RouteClass&, const RouteClass&) = default;
 };
 
+/// What one walk of a pair's route yields: its class and the one-way
+/// latency of a message of the walked size.
+struct RouteCost {
+    RouteClass cls;
+    Seconds latency = 0;
+};
+
 /// Deterministic routing and latency over a validated TopologySpec.
 class Topology {
   public:
@@ -122,6 +129,10 @@ class Topology {
     /// sum over route hops of (tier.hop_latency + size / tier.bandwidth),
     /// accumulated in route order. Requires the spec's tiers to be filled.
     [[nodiscard]] Seconds latency(int node_a, int node_b, Bytes size) const;
+
+    /// route_class() and latency() from a single walk of the route; both
+    /// fields are bit-identical to theirs.
+    [[nodiscard]] RouteCost route_cost(int node_a, int node_b, Bytes size) const;
 
     [[nodiscard]] const TopologyTier& tier(int index) const;
 

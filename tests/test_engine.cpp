@@ -294,7 +294,7 @@ TEST(Replica, NetworkForksShareSpecAndMovesKeepAnswers) {
     original.reset();
     const CorePair inter{0, spec.n_cores - 1};
     const CorePair intra{0, 1};
-    EXPECT_EQ(moved.model().layer_of(inter), twin.model().layer_of(inter));
+    EXPECT_EQ(moved.model().cost(inter, KiB).layer, twin.model().cost(inter, KiB).layer);
     EXPECT_EQ(moved.pingpong_latency(inter, 4 * KiB, 3), twin.pingpong_latency(inter, 4 * KiB, 3));
     EXPECT_EQ(moved.concurrent_latency({intra, inter}, 64 * KiB, 2),
               twin.concurrent_latency({intra, inter}, 64 * KiB, 2));

@@ -101,8 +101,8 @@ TEST(SimNetwork, ConcurrentCountsPerLayer) {
     // does not feel them.
     const auto latencies =
         network.concurrent_latency({{0, 3}, {6, 9}, {1, 13}}, 32 * KiB, 2);
-    EXPECT_DOUBLE_EQ(latencies[0], model.latency_concurrent({0, 3}, 32 * KiB, 2));
-    EXPECT_DOUBLE_EQ(latencies[2], model.latency_concurrent({1, 13}, 32 * KiB, 1));
+    EXPECT_DOUBLE_EQ(latencies[0], model.cost({0, 3}, 32 * KiB).concurrent(2));
+    EXPECT_DOUBLE_EQ(latencies[2], model.cost({1, 13}, 32 * KiB).concurrent(1));
 }
 
 TEST(SimNetwork, JitterAveragesOut) {

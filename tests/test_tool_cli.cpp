@@ -221,6 +221,52 @@ TEST(ToolCli, BadMemoValueFailsCacheSizePhaseWithExitCode3) {
     std::remove(path.c_str());
 }
 
+TEST(ToolCli, BadMemoValueFailsCommPhaseWithExitCode3) {
+    // A replayed comm sample of 0, -1 or NaN, in the layer scan, the
+    // per-layer sweep or the concurrent probe, must cost the comm phase:
+    // not abort, and not land in the profile.
+    const std::string memo = ::testing::TempDir() + "/tool_cli_bad_comm.memo";
+    const std::string path = ::testing::TempDir() + "/tool_cli_bad_comm.profile";
+    std::remove(memo.c_str());
+    ASSERT_EQ(run_tool("profile --machine dempsey --fast --memo " + memo + " --out " + path)
+                  .exit_code,
+              0);
+    std::vector<std::string> lines;
+    {
+        std::ifstream in(memo);
+        for (std::string line; std::getline(in, line);) lines.push_back(line);
+    }
+    for (const char* record : {"/comm/pp/m16384/r20/0-1 ", "/comm/pp/m1024/", "/comm/cc/"}) {
+        for (const char* bad : {"0x0p+0", "-0x1p+0", "nan"}) {
+            {
+                // Records read "<key> <count> <values...>"; the first
+                // matching record's last value is replaced.
+                std::ofstream out(memo, std::ios::trunc);
+                bool replaced = false;
+                for (const std::string& line : lines) {
+                    if (!replaced && line.find(record) != std::string::npos) {
+                        out << line.substr(0, line.rfind(' ') + 1) << bad << "\n";
+                        replaced = true;
+                    } else {
+                        out << line << "\n";
+                    }
+                }
+                ASSERT_TRUE(replaced) << record;
+            }
+            const auto result = run_tool("profile --machine dempsey --fast --memo " + memo +
+                                         " --out " + path);
+            EXPECT_EQ(result.exit_code, 3) << record << " " << bad << "\n" << result.output;
+            std::ifstream in(path);
+            std::stringstream stored;
+            stored << in.rdbuf();
+            EXPECT_NE(stored.str().find("comm_costs = detect.bad_sample"), std::string::npos)
+                << record << " " << bad << "\n" << stored.str();
+        }
+    }
+    std::remove(memo.c_str());
+    std::remove(path.c_str());
+}
+
 TEST(ToolCli, FaultsWithRobustSamplingStillSucceed) {
     // Survivable fault rates through the adaptive sampler: exit 0 and a
     // complete profile, faults notwithstanding.

@@ -187,6 +187,7 @@ TEST(TopologyOracle, LatencyIsExactPerHopDecomposition) {
                     }
                     // Exact: same terms, same accumulation order.
                     ASSERT_EQ(topology.latency(a, b, size), expected);
+                    ASSERT_EQ(topology.route_cost(a, b, size).latency, expected);
                 }
             }
     }
@@ -205,6 +206,7 @@ TEST(TopologyOracle, RouteClassMatchesRoute) {
                 const RouteClass cls = topology.route_class(a, b);
                 ASSERT_EQ(cls.hops, static_cast<int>(route.size()));
                 ASSERT_EQ(cls.tier, bottleneck);
+                ASSERT_EQ(topology.route_cost(a, b, KiB).cls, cls);
             }
     }
 }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -164,6 +165,22 @@ TEST(Validate, SlowdownBelowOneIsAWarning) {
     const ValidationReport report = validate_profile(profile);
     EXPECT_TRUE(only_code(report, "comm.slowdown-band"));
     EXPECT_FALSE(report.has_errors());
+}
+
+TEST(Validate, NanCommValuesAreFlagged) {
+    // NaN fails every ordered comparison, so each check must test for a
+    // finite value explicitly.
+    Profile slow = sane_profile();
+    slow.comm[0].slowdown = {1.0, std::nan("")};
+    EXPECT_TRUE(only_code(validate_profile(slow), "comm.slowdown-band"));
+
+    Profile p2p = sane_profile();
+    p2p.comm[1].p2p[0].second = std::nan("");
+    EXPECT_TRUE(has_code(validate_profile(p2p), "comm.p2p-latency-positive"));
+
+    Profile latency = sane_profile();
+    latency.comm[1].latency = std::nan("");
+    EXPECT_TRUE(has_code(validate_profile(latency), "comm.latency-positive"));
 }
 
 TEST(Validate, MeasurementJitterWithinSlackIsTolerated) {
